@@ -2065,39 +2065,29 @@ Db::ReadView Db::AcquireReadView(const ReadOptions& ro) const {
 
 SeekResult Db::Seek(std::string_view lo, std::string_view hi,
                     const ReadOptions& options) {
-  ++stats_->seeks;
-  const ReadView view = AcquireReadView(options);
+  const QueryBounds query{lo, hi};
+  const uint32_t order = 0;
   SeekResult r;
-  r.found =
-      SeekLoop(view, options, std::string(lo), hi, &r.key, &r.value,
-               &r.status);
-  if (!r.found) RecordEmptySeek(lo, hi);
+  SeekBatch(AcquireReadView(options), options, &query, &order, 1, &r);
   return r;
 }
 
-void Db::RecordEmptySeek(std::string_view lo, std::string_view hi) {
-  ++stats_->empty_seeks;
-  if (query_queue_.OnEmptyQuery(lo, hi)) ++stats_->queue_sampled;
-}
-
-bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
-                  std::string cursor, std::string_view hi, std::string* key,
-                  std::string* value, Status* first_error) {
+void Db::SeekBatch(const ReadView& view, const ReadOptions& ro,
+                   const QueryBounds* queries, const uint32_t* order,
+                   size_t n, SeekResult* results) {
+  stats_->seeks += n;
   const BlockReadOptions bro{ro.verify_checksums, ro.fill_cache,
                              /*use_cache=*/true};
-  auto note_error = [&](Status s) {
-    ++stats_->read_errors;
-    if (first_error->ok()) *first_error = std::move(s);
-  };
+  const Version& version = *view.version;
 
   // Every source keeps a POSITIONED candidate across tombstone winners:
   // when the newest visible version at the front is a tombstone, only
   // the sources standing ON the deleted key advance (from where they
   // are — no fresh index descent), so a run of N consecutive tombstones
   // costs O(files + N) instead of N full multi-level restarts. The
-  // winner rule is unchanged: smallest key; among versions of that key
-  // the highest seqno; rank (source recency) breaks the remaining
-  // legacy seqno-0 ties exactly as the pre-MVCC age rule did.
+  // winner rule: smallest key; among versions of that key the highest
+  // seqno; rank (source recency) breaks the remaining legacy seqno-0
+  // ties exactly as the pre-MVCC age rule did.
   struct Cand {
     bool valid = false;
     std::string key, value;
@@ -2112,15 +2102,136 @@ bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
     int rank;
     Cand cand;
   };
-  std::vector<MemSrc> mems;
-  mems.reserve(1 + view.version->imm.size());
-  mems.push_back({view.mem.get(), 0, {}});
-  {
+
+  // SST sources are sorted runs: each L0 file alone (L0 files overlap
+  // freely) and each sorted level whole. A run enters at the query's
+  // entry file (the first whose largest key >= lo) and walks on file by
+  // file as the cursor outruns each one. Each file's filter is
+  // consulted ONCE per query (sound permanently: a negative for
+  // [lo, hi] covers every subrange the advancing cursor can ask about);
+  // its first probe is an index-descent Seek, every later one a forward
+  // SkipTo. `verdict` is the pre-pass's answer for the entry file, or
+  // kUnprimed for a file the run reaches later and checks itself.
+  enum : uint8_t { kNegative = 0, kPass = 1, kUnprimed = 2 };
+  struct RunSrc {
+    const FilePtr* files = nullptr;  // ascending, non-overlapping
+    size_t n_files = 0;
     int rank = 0;
-    for (const MemPtr& m : view.version->imm) {
-      mems.push_back({m.get(), ++rank, {}});
+    size_t idx = 0;  // the file the run stands in
+    uint8_t verdict = kUnprimed;
+    bool seeked = false;     // cursor holds a position
+    bool found_any = false;  // at least one probe landed in range
+    SstReader::RangeCursor cur;
+    Cand cand;
+  };
+
+  // Bind the sources once; each query resets their state in place.
+  std::vector<MemSrc> mems;
+  mems.reserve(1 + version.imm.size());
+  mems.push_back({view.mem.get(), 0, {}});
+  for (const MemPtr& m : version.imm) {
+    mems.push_back({m.get(), static_cast<int>(mems.size()), {}});
+  }
+  std::vector<RunSrc> runs;
+  runs.reserve(version.levels[0].size() + version.levels.size());
+  auto add_run = [&runs](const FilePtr* files, size_t n_files, int rank) {
+    runs.emplace_back();
+    runs.back().files = files;
+    runs.back().n_files = n_files;
+    runs.back().rank = rank;
+  };
+  for (size_t s = 0; s < version.levels[0].size(); ++s) {
+    add_run(&version.levels[0][s], 1, 1000 + static_cast<int>(s));
+  }
+  for (size_t level = 1; level < version.levels.size(); ++level) {
+    const std::vector<FilePtr>& files = version.levels[level];
+    if (!files.empty()) {
+      add_run(files.data(), files.size(), 1000000 + static_cast<int>(level));
     }
   }
+  const size_t n_runs = runs.size();
+
+  // Consults f's filter on the first `count` (clip_lo, clip_hi) ranges,
+  // leaving the verdicts in `pass`, with every check's accounting.
+  std::vector<std::string_view> clip_lo(n), clip_hi(n);
+  std::vector<uint8_t> pass(n);
+  auto clip = [&](size_t g, const FileMeta& f, std::string_view lo,
+                  std::string_view hi) {
+    clip_lo[g] = std::max(lo, std::string_view(f.smallest));
+    clip_hi[g] = std::min(hi, std::string_view(f.largest));
+  };
+  auto check_filter = [&](const FileMeta& f, size_t count) {
+    stats_->filter_checks += count;
+    if (f.filter == nullptr) {
+      std::fill_n(pass.begin(), count, kPass);
+      return;
+    }
+    NoteFilterChecks(f, count);
+    // A lone range skips the batch path's per-call setup.
+    if (count == 1) {
+      pass[0] = f.filter->MayContain(clip_lo[0], clip_hi[0]) ? kPass
+                                                             : kNegative;
+    } else {
+      f.filter->MultiMayContain(clip_lo.data(), clip_hi.data(), count,
+                                pass.data());
+    }
+    for (size_t g = 0; g < count; ++g) {
+      if (pass[g] == kNegative) ++stats_->filter_negatives;
+    }
+  };
+
+  // Filter pre-pass: exactly the checks the merge's priming step makes
+  // (each run's entry file, when it starts at or below hi), grouped per
+  // file so one MultiMayContain call answers every query of the batch
+  // that primes there. primes[qi * n_runs + r] holds query qi's entry
+  // file in run r and that file's verdict.
+  struct Prime {
+    size_t entry;
+    uint8_t verdict;
+  };
+  std::vector<Prime> primes(n * n_runs);
+  // (entry file, scheduled position): sorting groups a run's queries by
+  // entry file, in scheduled order within each file.
+  std::vector<std::pair<size_t, size_t>> assigned;
+  assigned.reserve(n);
+  for (size_t r = 0; r < n_runs; ++r) {
+    const FilePtr* files = runs[r].files;
+    const size_t n_files = runs[r].n_files;
+    assigned.clear();
+    for (size_t i = 0; i < n; ++i) {
+      const QueryBounds& q = queries[order[i]];
+      const size_t idx = static_cast<size_t>(
+          std::lower_bound(files, files + n_files, q.lo,
+                           [](const FilePtr& f, std::string_view key) {
+                             return f->largest < key;
+                           }) -
+          files);
+      primes[order[i] * n_runs + r] = {idx, kUnprimed};
+      if (idx < n_files && files[idx]->smallest <= q.hi) {
+        assigned.emplace_back(idx, i);
+      }
+    }
+    std::sort(assigned.begin(), assigned.end());
+    for (size_t a = 0; a < assigned.size();) {
+      const FileMeta& f = *files[assigned[a].first];
+      size_t end = a;
+      for (; end < assigned.size() && assigned[end].first == assigned[a].first;
+           ++end) {
+        const QueryBounds& q = queries[order[assigned[end].second]];
+        clip(end - a, f, q.lo, q.hi);
+      }
+      check_filter(f, end - a);
+      for (size_t g = a; g < end; ++g) {
+        primes[order[assigned[g].second] * n_runs + r].verdict = pass[g - a];
+      }
+      a = end;
+    }
+  }
+
+  // The merge, one query at a time in scheduled order. `hi` and
+  // `first_error` belong to the query being answered.
+  std::string_view hi;
+  Status* first_error = nullptr;
   auto position_mem = [&](MemSrc& src, std::string_view lo) {
     src.cand.valid = false;
     SkipList::Entry entry;
@@ -2135,47 +2246,23 @@ bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
       src.cand.tombstone = tag == kTagTombstone;
     }
   };
-
-  // One SST file as a positioned source. The filter is consulted ONCE
-  // per file per query (sound permanently: a negative for [lo, hi]
-  // covers every subrange the advancing cursor can ask about); the
-  // first probe is an index-descent Seek, every later one a forward
-  // SkipTo from the standing position.
-  struct FileSrc {
-    const FileMeta* f = nullptr;
-    bool checked = false;    // filter consulted
-    bool seeked = false;     // cursor holds a position
-    bool found_any = false;  // at least one probe landed in range
-    bool dead = false;       // filter negative, range exhausted, or error
-    SstReader::RangeCursor cur;
-    Cand cand;
+  auto enter_file = [&](RunSrc& src, uint8_t verdict) {
+    src.verdict = verdict;
+    src.seeked = src.found_any = false;
+    src.cur.Init(src.files[src.idx]->reader.get(), bro, view.snapshot);
   };
-  auto position_file = [&](FileSrc& src, std::string_view lo) {
-    src.cand.valid = false;
-    if (src.dead) return;
-    const FileMeta& f = *src.f;
-    if (f.largest < lo || f.smallest > hi) {
-      src.dead = true;  // lo only grows: a bypassed file stays bypassed
-      return;
+  // Positions the run's current file at its smallest visible entry in
+  // [lo, hi]; false when it has none (filter negative, exhausted, read
+  // error).
+  auto position_file = [&](RunSrc& src, std::string_view lo) {
+    const FileMeta& f = *src.files[src.idx];
+    if (f.largest < lo) return false;
+    if (src.verdict == kUnprimed) {
+      clip(0, f, lo, hi);
+      check_filter(f, 1);
+      src.verdict = pass[0];
     }
-    if (!src.checked) {
-      src.checked = true;
-      std::string_view clip_lo = lo > f.smallest
-                                     ? lo
-                                     : std::string_view(f.smallest);
-      std::string_view clip_hi =
-          hi < f.largest ? hi : std::string_view(f.largest);
-      ++stats_->filter_checks;
-      if (f.filter != nullptr) {
-        NoteFilterChecks(f, 1);
-        if (!f.filter->MayContain(clip_lo, clip_hi)) {
-          ++stats_->filter_negatives;
-          src.dead = true;
-          return;
-        }
-      }
-      src.cur.Init(f.reader.get(), bro, view.snapshot);
-    }
+    if (src.verdict == kNegative) return false;
     Status read_status;
     int rc;
     if (!src.seeked) {
@@ -2194,130 +2281,90 @@ bool Db::SeekLoop(const ReadView& view, const ReadOptions& ro,
       src.cand.value = se.value;
       src.cand.seqno = se.seqno;
       src.cand.tombstone = se.tombstone;
-    } else if (rc == 1) {
-      src.dead = true;
+      return true;
+    }
+    if (rc == 1) {
       if (!src.found_any && f.filter != nullptr) {
         ++stats_->false_positive_files;  // filter passed, file had nothing
         NoteFalsePositive(f);
       }
     } else {
-      note_error(std::move(read_status));
-      src.dead = true;
+      ++stats_->read_errors;
+      if (first_error->ok()) *first_error = std::move(read_status);
     }
+    return false;
   };
-
-  // L0: every overlapping file is its own source (they overlap freely).
-  struct RankedFile {
-    FileSrc src;
-    int rank;
-  };
-  std::vector<RankedFile> l0s;
-  {
-    int rank = 1000;
-    for (const auto& f : view.version->levels[0]) {
-      RankedFile rf;
-      rf.src.f = f.get();
-      rf.rank = rank++;
-      l0s.push_back(std::move(rf));
-    }
-  }
-
-  // Sorted levels: one source per level that walks its files in key
-  // order, binary-searching the entry file once and advancing file by
-  // file as the cursor outruns each one.
-  struct LevelSrc {
-    const std::vector<FilePtr>* files;
-    int rank;
-    size_t idx = 0;
-    bool started = false;
-    FileSrc file;
-    Cand cand;
-  };
-  std::vector<LevelSrc> lvls;
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    if (view.version->levels[level].empty()) continue;
-    LevelSrc src;
-    src.files = &view.version->levels[level];
-    src.rank = 1000000 + static_cast<int>(level);
-    lvls.push_back(std::move(src));
-  }
-  auto position_level = [&](LevelSrc& src, std::string_view lo) {
+  auto position_run = [&](RunSrc& src, std::string_view lo) {
     src.cand.valid = false;
-    const auto& files = *src.files;
-    if (!src.started) {
-      src.started = true;
-      src.idx = static_cast<size_t>(
-          std::lower_bound(files.begin(), files.end(), lo,
-                           [](const FilePtr& f, std::string_view key) {
-                             return f->largest < key;
-                           }) -
-          files.begin());
-      src.file = FileSrc{};
-      if (src.idx < files.size()) src.file.f = files[src.idx].get();
-    }
-    while (src.idx < files.size()) {
-      if (files[src.idx]->smallest > hi) return;  // rest of level is past hi
-      position_file(src.file, lo);
-      if (src.file.cand.valid) {
-        src.cand = src.file.cand;
-        return;
-      }
-      // Exhausted (or filter-rejected, or error-noted): next file.
-      ++src.idx;
-      src.file = FileSrc{};
-      if (src.idx < files.size()) src.file.f = files[src.idx].get();
+    // Files starting past hi end the walk: the rest of the run is too.
+    while (src.idx < src.n_files && src.files[src.idx]->smallest <= hi) {
+      if (position_file(src, lo)) return;
+      if (++src.idx < src.n_files) enter_file(src, kUnprimed);
     }
   };
 
-  // Prime every source at the original cursor, then loop: pick the best
-  // candidate; a tombstone winner advances the cursor and repositions
-  // ONLY the sources standing on the deleted key.
-  for (auto& src : mems) position_mem(src, cursor);
-  for (auto& rf : l0s) position_file(rf.src, cursor);
-  for (auto& src : lvls) position_level(src, cursor);
+  std::string cursor;
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t qi = order[i];
+    const QueryBounds& q = queries[qi];
+    SeekResult& r = results[qi];
+    hi = q.hi;
+    first_error = &r.status;
 
-  for (;;) {
-    const Cand* best = nullptr;
-    int best_rank = 1 << 30;
-    auto consider = [&](const Cand& c, int rank) {
-      if (!c.valid) return;
-      const bool better =
-          best == nullptr || c.key < best->key ||
-          (c.key == best->key &&
-           (c.seqno > best->seqno ||
-            (c.seqno == best->seqno && rank < best_rank)));
-      if (better) {
-        best = &c;
-        best_rank = rank;
-      }
-    };
-    for (const auto& src : mems) consider(src.cand, src.rank);
-    for (const auto& rf : l0s) consider(rf.src.cand, rf.rank);
-    for (const auto& src : lvls) consider(src.cand, src.rank);
+    // Prime every source at lo, then loop: pick the best candidate; a
+    // tombstone winner advances the cursor and repositions ONLY the
+    // sources standing on the deleted key.
+    for (auto& src : mems) position_mem(src, q.lo);
+    for (size_t s = 0; s < n_runs; ++s) {
+      const Prime& prime = primes[qi * n_runs + s];
+      RunSrc& src = runs[s];
+      src.idx = prime.entry;
+      if (src.idx < src.n_files) enter_file(src, prime.verdict);
+      position_run(src, q.lo);
+    }
 
-    if (best == nullptr) return false;
-    if (!best->tombstone) {
-      if (key != nullptr) key->assign(best->key);
-      if (value != nullptr) value->assign(best->value);
-      return true;
-    }
-    // The newest visible version in range is a tombstone: advance past
-    // the deleted key. Only sources whose candidate IS that key are
-    // stale (every other candidate already sits beyond the new cursor).
-    cursor.assign(best->key);
-    cursor.push_back('\0');
-    for (auto& src : mems) {
-      if (src.cand.valid && src.cand.key < cursor) position_mem(src, cursor);
-    }
-    for (auto& rf : l0s) {
-      if (rf.src.cand.valid && rf.src.cand.key < cursor) {
-        position_file(rf.src, cursor);
+    for (;;) {
+      const Cand* best = nullptr;
+      int best_rank = 1 << 30;
+      auto consider = [&](const Cand& c, int rank) {
+        if (!c.valid) return;
+        const bool better =
+            best == nullptr || c.key < best->key ||
+            (c.key == best->key &&
+             (c.seqno > best->seqno ||
+              (c.seqno == best->seqno && rank < best_rank)));
+        if (better) {
+          best = &c;
+          best_rank = rank;
+        }
+      };
+      for (const auto& src : mems) consider(src.cand, src.rank);
+      for (const auto& src : runs) consider(src.cand, src.rank);
+
+      if (best == nullptr) break;
+      if (!best->tombstone) {
+        r.found = true;
+        r.key.assign(best->key);
+        r.value.assign(best->value);
+        break;
+      }
+      // The newest visible version in range is a tombstone: advance past
+      // the deleted key. Only sources whose candidate IS that key are
+      // stale (every other candidate already sits beyond the new cursor).
+      cursor.assign(best->key);
+      cursor.push_back('\0');
+      for (auto& src : mems) {
+        if (src.cand.valid && src.cand.key < cursor) position_mem(src, cursor);
+      }
+      for (auto& src : runs) {
+        if (src.cand.valid && src.cand.key < cursor) position_run(src, cursor);
       }
     }
-    for (auto& src : lvls) {
-      if (src.cand.valid && src.cand.key < cursor) {
-        position_level(src, cursor);
-      }
+    // Empty results feed the sample queue with the ORIGINAL bounds, not
+    // a tombstone-advanced cursor.
+    if (!r.found) {
+      ++stats_->empty_seeks;
+      if (query_queue_.OnEmptyQuery(q.lo, q.hi)) ++stats_->queue_sampled;
     }
   }
 }
@@ -2328,13 +2375,10 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   const size_t n = batch.size();
   results->assign(n, MultiSeekResult{});
   if (n == 0) return;
-  stats_->seeks += n;
 
   // ONE view and horizon for the whole batch: its answers are mutually
   // consistent even while writers commit concurrently.
   const ReadView view = AcquireReadView(options);
-  const BlockReadOptions bro{options.verify_checksums, options.fill_cache,
-                             /*use_cache=*/true};
 
   // Layout hints for layout-aware schedulers: the boundaries of the
   // largest sorted level (the one most batches fan out over).
@@ -2369,198 +2413,9 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
     }
   }
 
-  // Round one: the first Seek-loop iteration of every query, batched so
-  // each SST is visited once. Per-query winners accumulate here exactly
-  // like Seek's `consider`.
-  struct Cand {
-    bool found = false;
-    bool tombstone = false;
-    uint64_t seqno = 0;
-    int rank = 1 << 30;
-    std::string key, value;
-    Status first_error;
-  };
-  std::vector<Cand> cands(n);
-  auto consider = [&](uint32_t qi, std::string_view k, uint64_t seqno,
-                      bool tombstone, std::string_view user, int rank) {
-    if (k > batch[qi].hi) return;
-    Cand& c = cands[qi];
-    const bool better =
-        !c.found || k < c.key ||
-        (k == c.key &&
-         (seqno > c.seqno || (seqno == c.seqno && rank < c.rank)));
-    if (better) {
-      c.found = true;
-      c.key.assign(k);
-      c.seqno = seqno;
-      c.tombstone = tombstone;
-      c.value.assign(user);
-      c.rank = rank;
-    }
-  };
-
-  SkipList::Entry entry;
-  uint8_t tag;
-  std::string_view user;
-  for (uint32_t qi : order) {
-    if (view.mem->SeekGeq(batch[qi].lo, view.snapshot, &entry) &&
-        ParseInternalValue(entry.value, &tag, &user)) {
-      consider(qi, entry.key, entry.seqno, tag == kTagTombstone, user, 0);
-    }
-    int rank = 0;
-    for (const MemPtr& m : view.version->imm) {
-      ++rank;
-      if (m->SeekGeq(batch[qi].lo, view.snapshot, &entry) &&
-          ParseInternalValue(entry.value, &tag, &user)) {
-        consider(qi, entry.key, entry.seqno, tag == kTagTombstone, user,
-                 rank);
-      }
-    }
-  }
-
-  // Per-SST grouping: a file's group is the (scheduled-order) queries
-  // that still need it; all their filter verdicts come from one batched
-  // call, then only the passing ones probe the SST. A query that finds
-  // an in-range entry (rc == 0) is done with the level — Seek's
-  // per-level early exit — while one that doesn't carries over to the
-  // next file only if its range spans past this one.
-  SstReader::SeekEntry se;
-  std::vector<std::string_view> clip_lo, clip_hi;
-  std::vector<uint8_t> verdicts;
-  auto probe_group = [&](const FileMeta& f, int file_rank,
-                         const std::vector<uint32_t>& group,
-                         std::vector<uint32_t>* carry) {
-    if (group.empty()) return;
-    clip_lo.clear();
-    clip_hi.clear();
-    for (uint32_t qi : group) {
-      const StrRangeQuery& q = batch[qi];
-      clip_lo.push_back(q.lo > f.smallest ? std::string_view(q.lo)
-                                          : std::string_view(f.smallest));
-      clip_hi.push_back(q.hi < f.largest ? std::string_view(q.hi)
-                                         : std::string_view(f.largest));
-    }
-    stats_->filter_checks += group.size();
-    verdicts.assign(group.size(), 1);
-    if (f.filter != nullptr) {
-      NoteFilterChecks(f, group.size());
-      f.filter->MultiMayContain(clip_lo.data(), clip_hi.data(), group.size(),
-                                verdicts.data());
-      for (uint8_t v : verdicts) {
-        if (v == 0) ++stats_->filter_negatives;
-      }
-    }
-    for (size_t g = 0; g < group.size(); ++g) {
-      const uint32_t qi = group[g];
-      const StrRangeQuery& q = batch[qi];
-      bool done = false;
-      if (verdicts[g] != 0) {
-        ++stats_->sst_seeks;
-        NoteSstProbe(f);
-        Status read_status;
-        int rc = f.reader->SeekInRange(q.lo, q.hi, view.snapshot, bro, &se,
-                                       &read_status);
-        if (rc == 0) {
-          consider(qi, se.key, se.seqno, se.tombstone, se.value, file_rank);
-          done = true;
-        } else if (rc == 1 && f.filter != nullptr) {
-          ++stats_->false_positive_files;
-          NoteFalsePositive(f);
-        } else if (rc == -1) {
-          ++stats_->read_errors;
-          if (cands[qi].first_error.ok()) {
-            cands[qi].first_error = std::move(read_status);
-          }
-        }
-      }
-      if (!done && carry != nullptr && q.hi > f.largest) carry->push_back(qi);
-    }
-  };
-
-  // L0 files overlap arbitrarily, so every file sees every overlapping
-  // query (no early exit to exploit — same as Seek).
-  std::vector<uint32_t> group;
-  int rank = 1000;
-  for (const auto& f : view.version->levels[0]) {
-    group.clear();
-    for (uint32_t qi : order) {
-      const StrRangeQuery& q = batch[qi];
-      if (!(f->largest < q.lo || f->smallest > q.hi)) group.push_back(qi);
-    }
-    probe_group(*f, rank++, group, nullptr);
-  }
-
-  // Sorted levels: files are ascending and non-overlapping, so each
-  // query binary-searches its first overlapping file instead of every
-  // file scanning every query; a query whose range spans a file
-  // boundary carries into the next file's group (Seek's scan order
-  // exactly). One flat (file, query) list per level keeps this
-  // allocation-free across files.
-  std::vector<std::pair<uint32_t, uint32_t>> assigned;
-  std::vector<uint32_t> carry;
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    const auto& files = view.version->levels[level];
-    if (files.empty()) continue;
-    const int level_rank = 1000000 + static_cast<int>(level);
-    assigned.clear();
-    for (uint32_t qi : order) {
-      const StrRangeQuery& q = batch[qi];
-      auto it = std::lower_bound(
-          files.begin(), files.end(), q.lo,
-          [](const auto& f, std::string_view lo) { return f->largest < lo; });
-      if (it == files.end() || (*it)->smallest > q.hi) continue;
-      assigned.emplace_back(static_cast<uint32_t>(it - files.begin()), qi);
-    }
-    // Queries with the same entry file become adjacent, scheduled order
-    // preserved within each file.
-    std::stable_sort(assigned.begin(), assigned.end(),
-                     [](const auto& a, const auto& b) {
-                       return a.first < b.first;
-                     });
-    size_t pos = 0;
-    carry.clear();
-    for (size_t i = 0; i < files.size(); ++i) {
-      if (carry.empty()) {
-        if (pos == assigned.size()) break;
-        i = assigned[pos].first;  // skip files nobody needs
-      }
-      group.clear();
-      for (uint32_t qi : carry) {
-        // A carried range can end before this file starts (Seek would
-        // break the level scan there): drop it.
-        if (batch[qi].hi >= files[i]->smallest) group.push_back(qi);
-      }
-      carry.clear();
-      while (pos < assigned.size() && assigned[pos].first == i) {
-        group.push_back(assigned[pos++].second);
-      }
-      probe_group(*files[i], level_rank, group,
-                  i + 1 < files.size() ? &carry : nullptr);
-    }
-  }
-
-  // Resolve. Tombstone winners resume through the single-query loop past
-  // the deleted key (rare: a batch amortizes nothing over a resume whose
-  // cursor is unique to one query). Empty results feed the sample queue
-  // with their original bounds, exactly like Seek.
-  for (size_t qi = 0; qi < n; ++qi) {
-    MultiSeekResult& r = (*results)[qi];
-    Cand& c = cands[qi];
-    r.status = std::move(c.first_error);
-    if (c.found && !c.tombstone) {
-      r.found = true;
-      r.key = std::move(c.key);
-      r.value = std::move(c.value);
-      continue;
-    }
-    if (c.found) {
-      std::string cursor = std::move(c.key);
-      cursor.push_back('\0');
-      r.found = SeekLoop(view, options, std::move(cursor), batch[qi].hi,
-                         &r.key, &r.value, &r.status);
-    }
-    if (!r.found) RecordEmptySeek(batch[qi].lo, batch[qi].hi);
-  }
+  std::vector<QueryBounds> queries(n);
+  for (size_t i = 0; i < n; ++i) queries[i] = {batch[i].lo, batch[i].hi};
+  SeekBatch(view, options, queries.data(), order.data(), n, results->data());
 }
 
 Status Db::VerifyChecksums() const {

@@ -325,18 +325,19 @@ class Db {
   /// Closed Seek: finds the smallest live key in [lo, hi] visible at the
   /// read's snapshot horizon (options.snapshot, or the latest committed
   /// state). Empty results feed the sample query queue. Safe to call
-  /// concurrently with writes and background maintenance.
+  /// concurrently with writes and background maintenance. A one-query
+  /// MultiSeek: both run the same read path.
   SeekResult Seek(std::string_view lo, std::string_view hi,
                   const ReadOptions& options = {});
 
   /// Batched Seek: answers every query in `batch` with exactly the
-  /// Seek() results, but amortizes the tree walk across the batch. The
-  /// scheduler fixes the execution order (see engine/scheduler.h); the
-  /// engine then visits each overlapping SST once, takes all of the
-  /// batch's filter verdicts for that file in one MultiMayContain call,
-  /// and probes only the passing queries — so with a key-sorted order
-  /// one file's filter and data blocks stay hot for the whole batch
-  /// instead of being re-fetched per query. The whole batch resolves
+  /// Seek() results, and counts the same filter checks and SST probes.
+  /// The batch amortizes the pinned view, the binding of the tree's
+  /// sources, and the filter verdicts: every query's first check of a
+  /// file comes from one MultiMayContain call per file. SST probes then
+  /// run per query, in the order the scheduler fixes (see
+  /// engine/scheduler.h), so a key-sorted order keeps one file's data
+  /// blocks hot across neighbouring queries. The whole batch resolves
   /// against ONE pinned view and one snapshot horizon, so its answers
   /// are mutually consistent even while writers commit concurrently.
   void MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
@@ -521,18 +522,21 @@ class Db {
 
   ReadView AcquireReadView(const ReadOptions& ro) const;
 
-  /// The Seek cursor loop starting at `cursor` (tombstones advance the
-  /// cursor and retry). No empty-query accounting: callers own that,
-  /// because the sample queue must see the ORIGINAL query bounds, not a
-  /// tombstone-advanced cursor. Read errors accumulate into
-  /// `first_error` (first one wins) and stats_.read_errors.
-  bool SeekLoop(const ReadView& view, const ReadOptions& ro,
-                std::string cursor, std::string_view hi, std::string* key,
-                std::string* value, Status* first_error);
+  /// One query's bounds as the read core sees them.
+  struct QueryBounds {
+    std::string_view lo, hi;
+  };
 
-  /// Empty-result bookkeeping shared by Seek and MultiSeek: counts the
-  /// empty seek and offers the query to the sample queue.
-  void RecordEmptySeek(std::string_view lo, std::string_view hi);
+  /// The read path behind Seek and MultiSeek: answers queries[order[0..n)]
+  /// in that order into results[qi], all against `view`. Binds the
+  /// sources (memtables, L0 files, levels) once, batches the filter
+  /// checks of each query's priming step per file, then runs the
+  /// positioned-cursor merge query by query. Counts the seeks, read
+  /// errors and empty results (which feed the sample queue with the
+  /// query's own bounds).
+  void SeekBatch(const ReadView& view, const ReadOptions& ro,
+                 const QueryBounds* queries, const uint32_t* order, size_t n,
+                 SeekResult* results);
 
   /// Writes SSTs from a sorted (key asc, seqno desc) entry stream;
   /// builds their filters. File boundaries never split a key's version

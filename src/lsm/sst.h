@@ -13,7 +13,7 @@
 // v4 files are multi-version: a user key may appear in several
 // consecutive entries, newest (highest seqno) first, and every value is
 // encoded as `tag u8 | seqno u64 | user bytes` (ikey.h). The reader's
-// SeekInRange resolves visibility against a snapshot sequence horizon.
+// RangeCursor resolves visibility against a snapshot sequence horizon.
 //
 // Footer v4 (fixed width, 72 bytes): index_offset, index_size, n_entries,
 // filter_offset, filter_size, filter_format, filter_checksum,
@@ -167,13 +167,14 @@ class SstReader {
   /// (v1–v3) decode as seqno 0, visible to every snapshot.
   /// Returns 0 = found, 1 = none in range, -1 = corruption/IO error
   /// (the block failed its CRC or checksum; details in `status`).
+  /// A one-shot RangeCursor::Seek.
   int SeekInRange(std::string_view lo, std::string_view hi, uint64_t snapshot,
                   const BlockReadOptions& opts, SeekEntry* out,
                   Status* status = nullptr) const;
 
   /// A positioned SeekInRange: one Seek() descends the index, then
   /// SkipTo() re-positions FORWARD from where the cursor stands instead
-  /// of descending again. The Db's Seek loop keeps one RangeCursor per
+  /// of descending again. The Db's read path keeps one RangeCursor per
   /// SST source, so walking a run of consecutive tombstones costs one
   /// index descent per file total — not one per tombstone.
   class RangeCursor {

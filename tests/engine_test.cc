@@ -270,6 +270,66 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
   EXPECT_EQ(results[0].value, "x");
 }
 
+// --- counter parity ---
+
+// A batch must consult the same filters and probe the same SSTs as its
+// queries run one Seek at a time: the per-file counters feed observed
+// FPR and drift detection, so a batch that re-primes a query inflates
+// them. Tombstones matter here: a winner that is deleted resumes past
+// the deleted key.
+TEST(MultiSeekTest, CountersMatchSequentialSeeks) {
+  auto options = SmallDbOptions("counters");
+  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.adaptive_redesign = false;
+  auto [db, st] = Db::Create(options);
+  ASSERT_TRUE(st.ok());
+  Rng rng(27);
+  FillRandom(*db, rng, 12000, 0.25);
+  db->WaitForBackground();
+
+  // (checks, probes, false positives) of every live SST, flattened.
+  auto file_counters = [&db = *db] {
+    std::vector<uint64_t> out;
+    for (const auto& info : db.DesignInfo()) {
+      out.insert(out.end(), {info.checks, info.probes, info.false_positives});
+    }
+    return out;
+  };
+  auto minus = [](std::vector<uint64_t> a, const std::vector<uint64_t>& b) {
+    for (size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
+    return a;
+  };
+  auto scheduler = SchedulerRegistry::Global().Create("sorted");
+  ASSERT_NE(scheduler, nullptr);
+  uint64_t total_checks = 0;
+  for (int round = 0; round < 10; ++round) {
+    QueryBatch batch = RandomBatch(rng, 64);
+    db->ResetStats();
+    const std::vector<uint64_t> before = file_counters();
+    std::vector<MultiSeekResult> results;
+    db->MultiSeek(batch, *scheduler, &results);
+    const DbStats batched = db->stats();
+    const std::vector<uint64_t> mid = file_counters();
+
+    db->ResetStats();
+    for (const auto& q : batch) db->Seek(q.lo, q.hi);
+    const DbStats sequential = db->stats();
+    const std::vector<uint64_t> after = file_counters();
+
+    EXPECT_EQ(batched.filter_checks, sequential.filter_checks) << round;
+    EXPECT_EQ(batched.filter_negatives, sequential.filter_negatives) << round;
+    EXPECT_EQ(batched.sst_seeks, sequential.sst_seeks) << round;
+    EXPECT_EQ(batched.false_positive_files, sequential.false_positive_files)
+        << round;
+    EXPECT_EQ(batched.empty_seeks, sequential.empty_seeks) << round;
+    ASSERT_EQ(mid.size(), before.size());
+    ASSERT_EQ(after.size(), before.size());
+    EXPECT_EQ(minus(mid, before), minus(after, mid)) << round;
+    total_checks += sequential.filter_checks;
+  }
+  EXPECT_GT(total_checks, 0u);
+}
+
 // --- sample-queue feed + stats ---
 
 TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {

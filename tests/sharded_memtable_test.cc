@@ -1,8 +1,8 @@
 // The sharded write path: concurrent skiplist inserts, hash-routed
 // memtable shards, the merged flush (N shards -> one SST, byte-identical
 // to the single-shard build), WAL replay into a sharded memtable, and
-// the positioned Seek that walks dense tombstone runs at O(files)
-// instead of O(tombstones x files).
+// the positioned Seek (and one-query MultiSeek) that walks dense
+// tombstone runs at O(files) instead of O(tombstones x files).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "engine/scheduler.h"
 #include "lsm/db.h"
 #include "lsm/skiplist.h"
 #include "surf/surf.h"
@@ -291,6 +292,23 @@ TEST(SeekTombstones, DenseTombstoneRunCostsOneDescentPerFile) {
   const DbStats s = db->stats();
   EXPECT_LE(s.sst_seeks, 4u) << "tombstone walk re-seeks the SSTs";
   EXPECT_LE(s.filter_checks, 4u) << "filter re-checked per tombstone";
+
+  // A one-query MultiSeek walks the same run on the same read path, at
+  // the same cost.
+  db->ResetStats();
+  auto scheduler = SchedulerRegistry::Global().Create("sorted");
+  ASSERT_NE(scheduler, nullptr);
+  std::vector<MultiSeekResult> results;
+  db->MultiSeek({{EncodeKeyBE(0), EncodeKeyBE(kKeys - 1)}}, *scheduler,
+                &results);
+  ASSERT_EQ(results.size(), 1u);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  ASSERT_TRUE(results[0].found);
+  EXPECT_EQ(results[0].key, EncodeKeyBE(kKeys - 1));
+  EXPECT_EQ(results[0].value, "v" + std::to_string(kKeys - 1));
+  const DbStats m = db->stats();
+  EXPECT_LE(m.sst_seeks, 4u) << "batched tombstone walk re-seeks the SSTs";
+  EXPECT_LE(m.filter_checks, 4u) << "batched walk re-checks filters";
 }
 
 }  // namespace
