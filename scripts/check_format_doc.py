@@ -1,13 +1,18 @@
 #!/usr/bin/env python3
 """Guard that docs/FORMAT.md matches the on-disk format constants in the code.
 
-Extracts the named format constants from the C++ sources and verifies
-each one is quoted correctly in docs/FORMAT.md:
+Extracts the named format constants from the C++ sources and checks
+both directions:
 
-  * hex-valued constants (magics, footer sentinels, checksum seeds) must
-    appear in the doc as the exact hex literal;
-  * decimal-valued constants (sizes, opcodes, record kinds, versions)
+  * code -> doc: every guarded constant is quoted correctly in
+    docs/FORMAT.md. Hex-valued constants (magics, footer sentinels,
+    checksum seeds) must appear as the exact hex literal;
+    decimal-valued constants (sizes, opcodes, record kinds, versions)
     must appear on a doc line that also names the constant.
+  * doc -> code: every `k[A-Z]...` constant the doc names is one of the
+    guarded constants, so a row describing a deleted constant (an
+    older format generation's, say) fails the check instead of going
+    stale.
 
 Run from the repository root:  python3 scripts/check_format_doc.py
 Exits non-zero (and prints every mismatch) when the doc and code drift.
@@ -24,16 +29,14 @@ DOC = ROOT / "docs" / "FORMAT.md"
 SOURCES = {
     "src/lsm/sst.cc": [
         "kSstMagic",
-        "kFooterVersion2",
-        "kFooterVersion3",
         "kFooterVersion4",
-        "kFooterV1Size",
-        "kFooterV2Size",
-        "kFooterV3Size",
-        "kFooterV4Size",
-        "kHandleV2Size",
-        "kHandleV3Size",
+        "kFooterSize",
+        "kHandleSize",
         "kFilterChecksumSeed",
+    ],
+    "src/lsm/ikey.h": [
+        "kTagValue",
+        "kTagTombstone",
     ],
     "src/lsm/db.cc": [
         "kManifestMagic",
@@ -42,8 +45,6 @@ SOURCES = {
         "kManifestRecordDelta",
     ],
     "src/lsm/wal.h": [
-        "kWalOpPut",
-        "kWalOpDelete",
         "kWalOpPutSeq",
         "kWalOpDeleteSeq",
     ],
@@ -62,6 +63,8 @@ MEMBER_RE = re.compile(
     r"static\s+constexpr\s+[\w:<>]+\s+(k\w+)\s*=\s*"
     r"(0[xX][0-9a-fA-F']+|\d+)"
 )
+# A constant named in the doc.
+DOC_CONST_RE = re.compile(r"\bk[A-Z]\w*")
 
 
 def extract_constants(text):
@@ -97,7 +100,8 @@ def main():
                 # Decimal constants: a doc line naming the constant must
                 # also carry the value.
                 value_re = re.compile(r"\b" + re.escape(literal) + r"\b")
-                naming_lines = [l for l in doc_lines if name in l]
+                name_re = re.compile(r"\b" + re.escape(name) + r"\b")
+                naming_lines = [l for l in doc_lines if name_re.search(l)]
                 if not naming_lines:
                     errors.append(
                         f"docs/FORMAT.md never names {name} (from {rel_path})"
@@ -107,6 +111,15 @@ def main():
                         f"docs/FORMAT.md names {name} but no such line "
                         f"carries its value {literal} (from {rel_path})"
                     )
+
+    guarded = {name for names in SOURCES.values() for name in names}
+    for lineno, line in enumerate(doc_lines, 1):
+        for name in DOC_CONST_RE.findall(line):
+            if name not in guarded:
+                errors.append(
+                    f"docs/FORMAT.md:{lineno} names {name}, which is not a "
+                    f"guarded format constant"
+                )
 
     if errors:
         print("FORMAT.md / source drift detected:")

@@ -52,7 +52,7 @@
 //    every manifest_compact_threshold deltas); obsolete SSTs are
 //    unlinked only after the delta that retires them is durable and no
 //    in-flight read still holds them.
-//  * v3+ SSTs carry a CRC32C per data block in the index handle; a
+//  * SSTs carry a CRC32C per data block in the index handle; a
 //    flipped byte surfaces as a Corruption status (SeekResult::status,
 //    VerifyChecksums), never as silently wrong bytes.
 //
@@ -291,7 +291,10 @@ class Db {
   /// manifest record or unreadable SST fails Open with a non-OK status
   /// rather than silently dropping data. A torn WAL or MANIFEST tail —
   /// crash debris from an unacknowledged write — is truncated away, not
-  /// an error.
+  /// an error. Input of an older format generation (a MANIFEST snapshot
+  /// that is not version 4, an SST footer that is not v4, a plain `WAL`
+  /// file, a WAL record with op 1 or 2) fails Open with NotSupported and
+  /// leaves the directory untouched.
   static std::pair<std::unique_ptr<Db>, Status> Open(DbOptions options);
 
   /// Flushes the memtable and persists the manifest, so a subsequent
@@ -408,7 +411,7 @@ class Db {
   struct SstDesignInfo {
     uint64_t file_id = 0;
     int level = 0;
-    uint64_t design_epoch = 0;       // 0 = legacy (pre-provenance) design
+    uint64_t design_epoch = 0;       // 0 = no design (built unfiltered)
     double modeled_fpr = -1.0;       // model's promise (< 0: none)
     double design_signature = -1.0;  // query-window signature at design
     uint64_t design_samples = 0;     // queue.sampled() at design time
@@ -438,14 +441,13 @@ class Db {
     std::string smallest, largest;
     uint64_t n_entries = 0;
     uint64_t file_size = 0;
-    uint32_t format_version = 4;  // footer generation (value encoding)
     std::unique_ptr<SstReader> reader;
     std::unique_ptr<SstFilter> filter;
     // The level the file lives at (set at install/recovery) — feeds the
     // per-level stats and lets a redesign rewrite in place.
     int level = 0;
-    // Design provenance, persisted in MANIFEST v4 (negative doubles =
-    // not available; design_epoch 0 = legacy pre-provenance design).
+    // Design provenance, persisted in the MANIFEST (negative doubles =
+    // not available; design_epoch 0 = built without a filter).
     uint64_t design_epoch = 0;
     double modeled_fpr = -1.0;
     double design_signature = -1.0;
@@ -609,11 +611,10 @@ class Db {
   /// filter block, or rebuilds the filter from keys as a fallback.
   Status LoadFile(const FilePtr& meta);
 
-  /// MANIFEST file-entry codec (v4 adds the design provenance and the
-  /// observed-FPR counters; `version` < 4 decodes with legacy defaults).
+  /// MANIFEST file-entry codec, design provenance and observed-FPR
+  /// counters included.
   static void EncodeFileMeta(std::string* out, const FileMeta& f);
-  static bool DecodeFileMeta(std::string_view* cursor, uint64_t version,
-                             FileMeta* f);
+  static bool DecodeFileMeta(std::string_view* cursor, FileMeta* f);
 
   // Maintenance bodies; callers hold maint_mu_.
   Status FlushImmLocked();
@@ -701,7 +702,7 @@ class Db {
   uint64_t next_file_id_ = 1;           // maint_mu_ / recovery
   // Stamped into every built filter's provenance; bumped by each
   // redesign wave, so tests can tell a rebuilt filter from its ancestor.
-  // Starts at 1: epoch 0 is reserved for legacy (pre-v4) manifests.
+  // Starts at 1: epoch 0 marks a file built without a filter.
   std::atomic<uint64_t> design_epoch_{1};
   std::vector<size_t> compact_cursor_;  // round-robin pick per level
   int manifest_fd_ = -1;

@@ -169,25 +169,33 @@ class SkipList {
   //   [ Node: next_[0] (level 0), seqno, key_len, value_len ]
   //   [ key bytes ][ value bytes ]
   //
-  // next_ MUST be the first member: next_[-level] addresses level
-  // `level`'s link in the prefix region before the struct, so the header
+  // next_ MUST be the first member: Link(level) steps back `level` links
+  // from next_ into the prefix region before the struct, so the header
   // offset — and with it key()/value() — is independent of the node's
   // height, and a node is reached at level L only through level-L links,
-  // so nobody ever reads a link above the node's height.
+  // so nobody ever reads a link above the node's height. The step is
+  // char* arithmetic, not next_[-level]: indexing a one-element array
+  // below 0 is out of bounds (and UBSan's bounds check says so).
   struct Node {
     std::atomic<Node*> next_[1];
     uint64_t seqno;
     uint32_t key_len;
     uint32_t value_len;
 
+    std::atomic<Node*>* Link(int level) const {
+      char* base = reinterpret_cast<char*>(
+          const_cast<std::atomic<Node*>*>(next_));
+      return reinterpret_cast<std::atomic<Node*>*>(
+          base - sizeof(std::atomic<Node*>) * static_cast<size_t>(level));
+    }
     Node* Next(int level) const {
-      return next_[-level].load(std::memory_order_acquire);
+      return Link(level)->load(std::memory_order_acquire);
     }
     void SetNext(int level, Node* n) {
-      next_[-level].store(n, std::memory_order_relaxed);
+      Link(level)->store(n, std::memory_order_relaxed);
     }
     bool CasNext(int level, Node* expected, Node* n) {
-      return next_[-level].compare_exchange_strong(
+      return Link(level)->compare_exchange_strong(
           expected, n, std::memory_order_release, std::memory_order_relaxed);
     }
     const char* data() const {

@@ -16,17 +16,18 @@
 // memtable order, and replay order are one and the same — replay
 // re-applies each record at its original seqno, so recovery reproduces
 // the exact pre-crash version history (including concurrent same-key
-// writes, which used to be a documented race). Legacy seqno-less records
-// (ops 1/2, written before format v2 of the log) still replay; they are
-// assigned seqnos in file order.
+// writes, which used to be a documented race). The seqno-less ops 1/2
+// of an older generation are not read: a CRC-intact record with any op
+// other than 3/4 fails replay with NotSupported and the file is left as
+// it is.
 //
 // Segments: the log is a sequence of files `WAL-<n>` (n decimal,
 // increasing). Every memtable swap rotates to a fresh segment; a segment
 // is deleted once every memtable whose writes it holds has been flushed
-// to SSTs. Recovery replays all segments in numeric order (a legacy
-// un-numbered `WAL` file, if present, replays first). Replay is
-// idempotent across segments: an entry applied twice lands at the same
-// (key, seqno) slot.
+// to SSTs. Recovery replays all segments in numeric order (a plain
+// `WAL` file, an older generation's log, fails Db::Open with
+// NotSupported). Replay is idempotent across segments: an entry applied
+// twice lands at the same (key, seqno) slot.
 //
 // Group commit lives in the Db layer (the write-queue leader batches
 // concurrent writers); WalWriter here is a single-appender file handle.
@@ -51,15 +52,12 @@
 
 namespace proteus {
 
-inline constexpr uint8_t kWalOpPut = 1;        // legacy: no seqno field
-inline constexpr uint8_t kWalOpDelete = 2;     // legacy: no seqno field
 inline constexpr uint8_t kWalOpPutSeq = 3;     // payload carries seqno u64
 inline constexpr uint8_t kWalOpDeleteSeq = 4;  // payload carries seqno u64
 
-/// Frames one operation as a WAL record (length + CRC + payload), ready
-/// to append. Ops 3/4 embed `seqno`; the legacy ops 1/2 ignore it (they
-/// exist so compatibility tests can produce genuine old-format logs).
-/// `value` must be empty for deletes.
+/// Frames one operation (kWalOpPutSeq or kWalOpDeleteSeq) as a WAL
+/// record (length + CRC + payload), ready to append. `value` must be
+/// empty for deletes.
 std::string EncodeWalRecord(uint8_t op, uint64_t seqno, std::string_view key,
                             std::string_view value);
 
@@ -129,13 +127,14 @@ class WalWriter {
 };
 
 /// Replays one segment in append order, invoking
-/// `apply(op, seqno, key, value)` for every intact record (legacy ops 1/2
-/// pass seqno 0 — the caller assigns replay-order seqnos). A torn tail
+/// `apply(op, seqno, key, value)` for every intact record. A torn tail
 /// stops the replay: `*valid_bytes` is set to the clean-prefix length
 /// (truncate to it before reusing the file) and `*torn_tail` reports
 /// whether anything was cut. A missing file replays as empty. Returns
-/// non-OK only for I/O errors reading the file — torn frames are expected
-/// crash debris, not corruption.
+/// IOError when the file cannot be read and NotSupported for a
+/// CRC-intact record whose op is not 3/4 (another generation's writer;
+/// the caller must not truncate). Torn frames are expected crash
+/// debris, not errors.
 Status WalReplay(
     const std::string& path,
     const std::function<void(uint8_t op, uint64_t seqno, std::string_view key,

@@ -143,7 +143,7 @@ TEST(SstFailure, EmptyFile) {
 // Filter block + manifest: the persistence additions fail just as loudly.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kFooterV2Size = 72;
+constexpr size_t kFooterSize = 72;
 
 DbOptions FailDbOptions(const std::string& name) {
   DbOptions options;
@@ -243,8 +243,8 @@ TEST(FilterBlockFailure, TruncatedFilterBlockFallsBackToRebuild) {
     std::string path = options.dir + "/" + std::to_string(id) + ".sst";
     if (::access(path.c_str(), F_OK) != 0) continue;
     std::string content = ReadFile(path);
-    ASSERT_GE(content.size(), kFooterV2Size);
-    size_t footer = content.size() - kFooterV2Size;
+    ASSERT_GE(content.size(), kFooterSize);
+    size_t footer = content.size() - kFooterSize;
     uint64_t filter_size;
     std::memcpy(&filter_size, content.data() + footer + 32, 8);
     if (filter_size == 0) continue;

@@ -229,7 +229,7 @@ TEST(Sst, WriteReadRoundTrip) {
             1);
 
   // Full scan via the iterator matches the reference map (iterator
-  // yields the raw stored bytes; decode per the footer version).
+  // yields the raw stored bytes, tag|seqno|user).
   SstReader::Iterator it(&reader);
   auto ref_it = ref.begin();
   size_t n = 0;
@@ -237,7 +237,7 @@ TEST(Sst, WriteReadRoundTrip) {
     ASSERT_NE(ref_it, ref.end());
     ASSERT_EQ(it.key(), ref_it->first);
     ParsedValue parsed;
-    ASSERT_TRUE(ParseSstValue(reader.footer_version(), it.value(), &parsed));
+    ASSERT_TRUE(ParseSstValue(it.value(), &parsed));
     ASSERT_EQ(parsed.user_value, ref_it->second);
   }
   EXPECT_EQ(n, ref.size());

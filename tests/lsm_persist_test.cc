@@ -1,8 +1,9 @@
 // Persistence round-trips: SST filter blocks survive the disk, Db::Open
 // reconstructs the tree and its filters from the manifest without
-// rebuilding, and every damage mode (bit-flipped blob, foreign format
-// version, legacy filter-less footer) degrades to a rebuild or a plain
-// unfiltered read — never a crash or a wrong answer.
+// rebuilding, and every damage mode (bit-flipped blob, foreign filter
+// format version) degrades to a rebuild or a plain unfiltered read —
+// never a crash or a wrong answer. A footer of an older SST generation
+// fails Open with NotSupported and leaves the file as it was.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cctype>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -79,11 +81,24 @@ std::vector<std::string> ListSstFiles(const std::string& dir) {
   return out;
 }
 
+// Every file in `dir`, name -> bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return out;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') out[e->d_name] = ReadFile(dir + "/" + e->d_name);
+  }
+  ::closedir(d);
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // SST-level: the filter block in the file format.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kFooterV2Size = 72;
+constexpr size_t kFooterSize = 72;
+constexpr size_t kSentinelOffset = 56;  // version sentinel, before the magic
 
 std::unique_ptr<SstFilter> BuildTestFilter(
     const std::vector<std::string>& keys) {
@@ -93,24 +108,14 @@ std::unique_ptr<SstFilter> BuildTestFilter(
 
 std::string WriteSstWithFilter(const std::string& path,
                                std::vector<std::string>* keys,
-                               uint64_t filter_format = Filter::kVersion,
-                               uint32_t format_version = 3) {
+                               uint64_t filter_format = Filter::kVersion) {
   SstWriter::Options wopts;
   wopts.block_size = 512;
-  wopts.format_version = format_version;
   SstWriter writer(path, wopts);
   for (uint64_t i = 0; i < 3000; ++i) {
     std::string key = EncodeKeyBE(i * 7);
-    std::string value = "value" + std::to_string(i);
-    // Encode the value the way the writer's format version expects:
-    // v4 = tag|seqno|user, v3 = tag|user, v1/v2 = raw user bytes.
-    if (format_version >= 4) {
-      writer.Add(key, MakeSstValueV4(kTagValue, i + 1, value));
-    } else if (format_version == 3) {
-      writer.Add(key, MakeInternalValue(kTagValue, value));
-    } else {
-      writer.Add(key, value);
-    }
+    writer.Add(key,
+               MakeSstValueV4(kTagValue, i + 1, "value" + std::to_string(i)));
     keys->push_back(std::move(key));
   }
   auto filter = BuildTestFilter(*keys);
@@ -147,50 +152,29 @@ TEST(SstFilterBlock, RoundTripsThroughTheFile) {
   ::unlink(path.c_str());
 }
 
-TEST(SstFilterBlock, LegacyV1FooterStillReadable) {
-  const std::string path = "/tmp/proteus_persist_legacy.sst";
+TEST(SstFilterBlock, OlderFooterGenerationFailsOpenWithNotSupported) {
+  const std::string path = "/tmp/proteus_persist_old_footer.sst";
   std::vector<std::string> keys;
-  // A genuine v1 file: 32-byte footer, 16-byte handles, no filter block.
-  WriteSstWithFilter(path, &keys, Filter::kVersion, /*format_version=*/1);
+  WriteSstWithFilter(path, &keys);
+  const std::string v4 = ReadFile(path);
+  const size_t sentinel = v4.size() - kFooterSize + kSentinelOffset;
+  ASSERT_EQ(v4.substr(sentinel, 8), "PROTFTV4");
 
-  BlockCache cache(1 << 20);
-  SstReader reader;
-  ASSERT_TRUE(reader.Open(path, 1, &cache).ok());
-  EXPECT_EQ(reader.footer_version(), 1u);
-  EXPECT_FALSE(reader.has_filter_block());
-  EXPECT_EQ(reader.LoadFilter(), nullptr);
-  EXPECT_EQ(reader.n_entries(), 3000u);
-  SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(70), EncodeKeyBE(70), kMaxSequence,
-                               BlockReadOptions{}, &se),
-            0);
-  EXPECT_EQ(se.value, "value10");
-  ::unlink(path.c_str());
-}
-
-TEST(SstFilterBlock, LegacyV2FooterStillReadableWithFilter) {
-  const std::string path = "/tmp/proteus_persist_legacy_v2.sst";
-  std::vector<std::string> keys;
-  // A genuine v2 file: 72-byte footer, filter block, 16-byte handles
-  // (no per-block CRC — damage detection falls back to the in-block
-  // checksum, as before PR 4).
-  WriteSstWithFilter(path, &keys, Filter::kVersion, /*format_version=*/2);
-
-  BlockCache cache(1 << 20);
-  SstReader reader;
-  ASSERT_TRUE(reader.Open(path, 1, &cache).ok());
-  EXPECT_EQ(reader.footer_version(), 2u);
-  ASSERT_TRUE(reader.has_filter_block());
-  Status status;
-  auto loaded = reader.LoadFilter(&status);
-  ASSERT_NE(loaded, nullptr) << status.ToString();
-  EXPECT_EQ(reader.n_entries(), 3000u);
-  EXPECT_TRUE(reader.VerifyChecksums().ok());
-  SstReader::SeekEntry se;
-  EXPECT_EQ(reader.SeekInRange(EncodeKeyBE(70), EncodeKeyBE(70), kMaxSequence,
-                               BlockReadOptions{}, &se),
-            0);
-  EXPECT_EQ(se.value, "value10");
+  // The slot before the magic holds "PROTFTV3" in a v3 footer and
+  // n_entries in a v1 footer (whose magic sits in the same place).
+  std::string v1_slot(8, '\0');
+  const uint64_t n_entries = keys.size();
+  std::memcpy(v1_slot.data(), &n_entries, 8);
+  for (const std::string& slot : {std::string("PROTFTV3"), v1_slot}) {
+    std::string old = v4;
+    old.replace(sentinel, 8, slot);
+    WriteFile(path, old);
+    BlockCache cache(1 << 20);
+    SstReader reader;
+    Status s = reader.Open(path, 1, &cache);
+    EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+    EXPECT_EQ(ReadFile(path), old);  // the file is left as it was
+  }
   ::unlink(path.c_str());
 }
 
@@ -217,7 +201,7 @@ TEST(SstFilterBlock, EveryBitflipInTheBlockIsDetected) {
   std::vector<std::string> keys;
   WriteSstWithFilter(path, &keys);
   std::string clean = ReadFile(path);
-  const size_t footer = clean.size() - kFooterV2Size;
+  const size_t footer = clean.size() - kFooterSize;
   const uint64_t filter_offset = ReadU64At(clean, footer + 24);
   const uint64_t filter_size = ReadU64At(clean, footer + 32);
   ASSERT_GT(filter_size, 0u);
@@ -363,8 +347,8 @@ TEST(DbReopen, CorruptFilterBlocksTriggerRebuildFallback) {
   size_t corrupted = 0;
   for (const std::string& path : ListSstFiles(options.dir)) {
     std::string content = ReadFile(path);
-    ASSERT_GE(content.size(), kFooterV2Size);
-    const size_t footer = content.size() - kFooterV2Size;
+    ASSERT_GE(content.size(), kFooterSize);
+    const size_t footer = content.size() - kFooterSize;
     const uint64_t filter_offset = ReadU64At(content, footer + 24);
     const uint64_t filter_size = ReadU64At(content, footer + 32);
     if (filter_size == 0) continue;
@@ -408,6 +392,29 @@ TEST(DbReopen, FilterBytesAreChargedToTheBlockCache) {
   ASSERT_NE(db, nullptr) << status.ToString();
   EXPECT_GT(db->cache().pinned_bytes(), 0u);
   EXPECT_LE(db->cache().pinned_bytes(), db->TotalFilterBits() / 8);
+}
+
+TEST(DbReopen, OlderSstGenerationFailsOpenAndLeavesTheDirectory) {
+  auto options = PersistDbOptions("old_sst");
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+    Rng rng(3);
+    FillDb(db.get(), &rng);
+  }
+  const std::vector<std::string> ssts = ListSstFiles(options.dir);
+  ASSERT_FALSE(ssts.empty());
+  std::string content = ReadFile(ssts.front());
+  content.replace(content.size() - kFooterSize + kSentinelOffset, 8,
+                  "PROTFTV3");
+  WriteFile(ssts.front(), content);
+
+  const auto before = DirContents(options.dir);
+  auto [db, status] = Db::Open(options);
+  EXPECT_EQ(db, nullptr);
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_EQ(DirContents(options.dir), before);
 }
 
 TEST(DbReopen, MissingManifestOpensEmpty) {

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <unistd.h>
 
 #include <cstring>
@@ -28,7 +29,9 @@
 #include "lsm/filter_policy.h"
 #include "lsm/wal.h"
 #include "surf/surf.h"
+#include "util/crc32c.h"
 #include "util/random.h"
+#include "util/serial.h"
 
 namespace proteus {
 namespace {
@@ -44,14 +47,39 @@ void WriteFile(const std::string& path, const std::string& content) {
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
 }
 
-// Sum of bytes across every WAL segment in `dir` (WAL and WAL-<n>).
+// Sum of bytes across every WAL segment in `dir` (WAL-<n>).
 size_t TotalWalBytes(const std::string& dir) {
   size_t total = 0;
   for (uint64_t n = 0; n < 64; ++n) {
     total += ReadFile(dir + "/WAL-" + std::to_string(n)).size();
   }
-  total += ReadFile(dir + "/WAL").size();
   return total;
+}
+
+// Every file in `dir`, name -> bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return out;
+  while (dirent* e = ::readdir(d)) {
+    if (e->d_name[0] != '.') out[e->d_name] = ReadFile(dir + "/" + e->d_name);
+  }
+  ::closedir(d);
+  return out;
+}
+
+// A record of the older, seqno-less WAL generation (op 1 = Put):
+// op u8 | klen u32 | key | vlen u32 | value, in the usual CRC frame.
+std::string OldGenerationPutRecord(std::string_view key,
+                                   std::string_view value) {
+  std::string payload(1, '\x01');
+  PutFixed32(&payload, static_cast<uint32_t>(key.size()));
+  payload.append(key);
+  PutFixed32(&payload, static_cast<uint32_t>(value.size()));
+  payload.append(value);
+  std::string record;
+  AppendCrcFrame(&record, payload);
+  return record;
 }
 
 DbOptions CrashDbOptions(const std::string& name) {
@@ -157,6 +185,49 @@ TEST(WalReplayUnit, EveryTruncationOffsetYieldsACleanPrefix) {
         << "cut=" << cut;
     EXPECT_EQ(torn, cut != valid_bytes) << "cut=" << cut;
   }
+  ::unlink(path.c_str());
+}
+
+TEST(WalReplayUnit, OldGenerationRecordFailsClosedWithoutTruncation) {
+  const std::string path = "/tmp/proteus_wal_old_op.log";
+  const std::string log = EncodeWalRecord(kWalOpPutSeq, 1, "new", "v") +
+                          OldGenerationPutRecord("old", "acknowledged");
+  WriteFile(path, log);
+  size_t applied = 0;
+  uint64_t valid_bytes = 0;
+  bool torn = false;
+  Status s = WalReplay(
+      path,
+      [&](uint8_t, uint64_t, std::string_view, std::string_view) {
+        ++applied;
+      },
+      &valid_bytes, &torn);
+  EXPECT_TRUE(s.IsNotSupported()) << s.ToString();
+  EXPECT_FALSE(torn);  // not crash debris: the caller must not cut it
+  EXPECT_EQ(applied, 1u);  // the op-3 record before it
+  EXPECT_EQ(ReadFile(path), log);
+  ::unlink(path.c_str());
+}
+
+TEST(WalReplayUnit, ZeroFilledDebrisIsATornTail) {
+  // Zero-filled bytes frame as length 0 with CRC32C("") = 0: an intact
+  // CRC over an empty payload, which is debris, not an old record.
+  const std::string path = "/tmp/proteus_wal_zeros.log";
+  const std::string record = EncodeWalRecord(kWalOpPutSeq, 1, "k", "v");
+  WriteFile(path, record + std::string(32, '\0'));
+  size_t applied = 0;
+  uint64_t valid_bytes = 0;
+  bool torn = false;
+  ASSERT_TRUE(WalReplay(
+                  path,
+                  [&](uint8_t, uint64_t, std::string_view, std::string_view) {
+                    ++applied;
+                  },
+                  &valid_bytes, &torn)
+                  .ok());
+  EXPECT_EQ(applied, 1u);
+  EXPECT_TRUE(torn);
+  EXPECT_EQ(valid_bytes, record.size());
   ::unlink(path.c_str());
 }
 
@@ -568,6 +639,31 @@ TEST(DbCrashRecovery, WalFromPreviousRunHonoredThenRemovedWhenWalDisabled) {
   EXPECT_EQ(db->stats().wal_replayed, 0u);
   EXPECT_FALSE(db->Seek(EncodeKeyBE(5), EncodeKeyBE(5)).found);
   EXPECT_TRUE(db->Seek(EncodeKeyBE(6), EncodeKeyBE(6)).found);
+}
+
+TEST(DbCrashRecovery, PlainWalFileFailsOpenAndLeavesTheDirectory) {
+  auto options = CrashDbOptions("plain_wal");
+  {
+    auto [db, st] = Db::Create(options);
+    ASSERT_TRUE(st.ok());
+    for (uint64_t i = 0; i < 50; ++i) {
+      ASSERT_TRUE(db->Put(EncodeKeyBE(i), "x").ok());
+    }
+    db->TEST_CrashClose();
+  }
+  // An older generation's un-numbered log holding an acknowledged write.
+  WriteFile(options.dir + "/WAL", OldGenerationPutRecord("old", "v"));
+  const auto before = DirContents(options.dir);
+
+  auto [db, status] = Db::Open(options);
+  EXPECT_EQ(db, nullptr);
+  EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+  EXPECT_EQ(DirContents(options.dir), before);
+
+  // Create still starts fresh over such a directory.
+  auto [fresh, create_status] = Db::Create(options);
+  ASSERT_TRUE(create_status.ok()) << create_status.ToString();
+  EXPECT_EQ(ReadFile(options.dir + "/WAL"), "");
 }
 
 TEST(DbCrashRecovery, WalDisabledKeepsTheOldContract) {
