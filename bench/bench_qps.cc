@@ -13,9 +13,9 @@
 //     ignored; make the server's --keys match for a meaningful found%).
 //
 // Extra flags beyond bench_common's: --batch=1,16,64,256 (comma list;
-// batch 1 runs the one-at-a-time Seek baseline), --scheduler=SPEC,
-// --rate=QPS, --cache-mb=N. --json=PATH dumps one record per (mode,
-// batch) pair.
+// batch 1 runs the one-at-a-time Seek baseline), --rate=QPS,
+// --cache-mb=N. --json=PATH dumps one record per (mode, batch) pair.
+// MultiSeek always runs each batch in key-sorted order.
 
 #include <algorithm>
 #include <cstdint>
@@ -31,7 +31,6 @@
 #include <unistd.h>
 
 #include "bench_common.h"
-#include "engine/query_engine.h"
 #include "engine/wire.h"
 #include "lsm/db.h"
 #include "workload/datasets.h"
@@ -108,7 +107,6 @@ bool ServerRoundTrip(int fd, const QueryBatch& batch,
 
 struct QpsArgs {
   std::vector<uint64_t> batches = {1, 16, 64, 256};
-  std::string scheduler = "sorted";
   double rate = 0.0;  // open-loop offered load in queries/sec; 0 = closed
   uint64_t cache_mb = 2;
   std::string server_host;
@@ -125,8 +123,6 @@ QpsArgs ParseQpsArgs(int argc, char** argv) {
         args.batches.push_back(std::strtoull(p, const_cast<char**>(&p), 10));
         if (*p == ',') ++p;
       }
-    } else if (std::strncmp(a, "--scheduler=", 12) == 0) {
-      args.scheduler = a + 12;
     } else if (std::strncmp(a, "--rate=", 7) == 0) {
       args.rate = std::strtod(a + 7, nullptr);
     } else if (std::strncmp(a, "--cache-mb=", 11) == 0) {
@@ -151,7 +147,8 @@ struct RunResult {
   double qps = 0.0;
   double p50_us = 0.0, p99_us = 0.0, p999_us = 0.0;
   uint64_t found = 0;
-  BatchStats stats;  // in-process modes only
+  // In-process modes only: counter deltas across the run.
+  uint64_t filter_negatives = 0, sst_seeks = 0, blocks_touched = 0;
 };
 
 /// One timed pass over `queries` in batches of `batch`. `issue` runs one
@@ -234,7 +231,6 @@ int main(int argc, char** argv) {
     sink.Add()
         .Str("bench", "qps")
         .Str("mode", mode)
-        .Str("scheduler", qps.scheduler)
         .Num("batch", static_cast<double>(batch))
         .Num("queries", static_cast<double>(queries.size()))
         .Num("rate", qps.rate)
@@ -243,9 +239,9 @@ int main(int argc, char** argv) {
         .Num("p99_us", r.p99_us)
         .Num("p999_us", r.p999_us)
         .Num("found", static_cast<double>(r.found))
-        .Num("filter_negatives", static_cast<double>(r.stats.filter_negatives))
-        .Num("sst_seeks", static_cast<double>(r.stats.sst_seeks))
-        .Num("blocks_touched", static_cast<double>(r.stats.blocks_touched));
+        .Num("filter_negatives", static_cast<double>(r.filter_negatives))
+        .Num("sst_seeks", static_cast<double>(r.sst_seeks))
+        .Num("blocks_touched", static_cast<double>(r.blocks_touched));
   };
 
   if (!qps.server_host.empty()) {
@@ -309,14 +305,6 @@ int main(int argc, char** argv) {
       if (slice < 2) db.Flush();
     }
 
-    Status status;
-    auto engine = QueryEngine::Create(db_ptr.get(), qps.scheduler, &status);
-    if (engine == nullptr) {
-      std::fprintf(stderr, "scheduler \"%s\": %s\n", qps.scheduler.c_str(),
-                   status.ToString().c_str());
-      return 1;
-    }
-
     bench::PrintHeader("qps: sequential Seek vs batched MultiSeek");
     std::vector<MultiSeekResult> results;
     auto run_mode = [&](const char* mode, uint64_t batch, auto&& issue) {
@@ -330,10 +318,10 @@ int main(int argc, char** argv) {
       RunResult r = RunLoop(queries, batch, qps.rate, issue);
       const DbStats& s = db.stats();
       const BlockCache::Stats& cache_after = db.cache().stats();
-      r.stats.filter_negatives = s.filter_negatives;
-      r.stats.sst_seeks = s.sst_seeks;
-      r.stats.blocks_touched = (cache_after.hits - cache_before.hits) +
-                               (cache_after.misses - cache_before.misses);
+      r.filter_negatives = s.filter_negatives;
+      r.sst_seeks = s.sst_seeks;
+      r.blocks_touched = (cache_after.hits - cache_before.hits) +
+                         (cache_after.misses - cache_before.misses);
       record(mode, batch, r);
     };
     for (uint64_t batch : qps.batches) {
@@ -344,7 +332,7 @@ int main(int argc, char** argv) {
         });
       } else {
         run_mode("multiseek", batch, [&](const QueryBatch& b) {
-          engine->Run(b, &results);
+          db.MultiSeek(b, &results);
           uint64_t found = 0;
           for (const auto& res : results) found += res.found;
           return found;

@@ -2,11 +2,12 @@
 // keys, then serves MultiSeek batches over the engine/wire.h framed
 // protocol (see docs/ARCHITECTURE.md "Query engine") on a TCP port.
 //
-//   ./example_server --port=7707 --keys=200000 --scheduler=grouped
+//   ./build/server --port=7707 --keys=200000
 //
 // Talk to it with bench_qps --server=127.0.0.1:7707, or any client that
-// frames op-1 MultiSeek requests. Ctrl-C shuts it down cleanly and
-// prints the serving stats.
+// frames op-1 MultiSeek requests. Each batch runs in key-sorted order.
+// A batch that hits a read error gets an Error frame. Ctrl-C shuts it
+// down cleanly and prints the serving stats.
 
 #include <csignal>
 #include <cstdio>
@@ -42,7 +43,6 @@ int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
   uint64_t port = 0, keys = 200000, value_bytes = 128;
   double bpk = 14.0;
-  std::string scheduler = "sorted";
   std::string dir = "/tmp/proteus_example_server";
   for (int i = 1; i < argc; ++i) {
     std::string v;
@@ -56,15 +56,12 @@ int main(int argc, char** argv) {
       value_bytes = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--bpk", &v)) {
       bpk = std::strtod(v.c_str(), nullptr);
-    } else if (ParseFlag(argv[i], "--scheduler", &v)) {
-      scheduler = v;
     } else if (ParseFlag(argv[i], "--dir", &v)) {
       dir = v;
     } else {
       std::fprintf(stderr,
                    "usage: %s [--host=H] [--port=N] [--keys=N]\n"
-                   "          [--value-bytes=N] [--bpk=F] [--scheduler=SPEC]\n"
-                   "          [--dir=PATH]\n",
+                   "          [--value-bytes=N] [--bpk=F] [--dir=PATH]\n",
                    argv[0]);
       return 2;
     }
@@ -99,7 +96,6 @@ int main(int argc, char** argv) {
   ServerOptions server_options;
   server_options.host = host;
   server_options.port = static_cast<uint16_t>(port);
-  server_options.scheduler = scheduler;
   BatchServer server(db_ptr.get(), server_options);
   Status s = server.Start();
   if (!s.ok()) {
@@ -110,8 +106,8 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
 
-  std::printf("serving on %s:%u (scheduler=%s); Ctrl-C to stop\n",
-              host.c_str(), server.port(), scheduler.c_str());
+  std::printf("serving on %s:%u; Ctrl-C to stop\n", host.c_str(),
+              server.port());
   s = server.Serve();
   if (!s.ok()) {
     std::fprintf(stderr, "Serve failed: %s\n", s.ToString().c_str());

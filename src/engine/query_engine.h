@@ -1,13 +1,12 @@
-// QueryEngine: the batched front door to a Db. It owns the scheduler
-// (resolved from a spec string through SchedulerRegistry), drives
-// Db::MultiSeek, and measures what each batch cost — filter negatives,
-// data blocks touched, wall time — as the per-batch stats the server and
-// the load generator report.
+// QueryEngine: a thin batched front door to a Db. Run is one
+// Db::MultiSeek call, which plans every batch in key-sorted order
+// (engine/scheduler.h). The class, its "sorted" spec and scheduler()
+// remain only as the API the benchmark harness (perfbench/) compiles
+// against; servers and benches call Db::MultiSeek directly.
 
 #ifndef PROTEUS_ENGINE_QUERY_ENGINE_H_
 #define PROTEUS_ENGINE_QUERY_ENGINE_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,57 +17,27 @@
 
 namespace proteus {
 
-/// What one batch (or an accumulated run) cost. Counter fields are
-/// deltas of the DB's and block cache's counters across the batch.
-struct BatchStats {
-  uint64_t queries = 0;
-  uint64_t found = 0;
-  uint64_t empty = 0;
-  uint64_t filter_checks = 0;
-  uint64_t filter_negatives = 0;
-  uint64_t sst_seeks = 0;
-  uint64_t false_positive_files = 0;
-  uint64_t blocks_touched = 0;  // cache hits + misses (data-block reads)
-  uint64_t cache_misses = 0;    // of those, fetched from disk
-  uint64_t wall_ns = 0;
-
-  double Qps() const {
-    return wall_ns == 0 ? 0.0
-                        : static_cast<double>(queries) * 1e9 /
-                              static_cast<double>(wall_ns);
-  }
-
-  void Accumulate(const BatchStats& other);
-};
-
 class QueryEngine {
  public:
-  /// Builds an engine over `db` with the scheduler named by `spec`
-  /// (e.g. "fifo", "sorted", "grouped"). Returns null and fills
-  /// `status` (InvalidArgument) on an unknown or malformed spec. The
-  /// caller keeps `db` alive for the engine's lifetime.
+  /// Builds an engine over `db`. The only accepted spec is "sorted";
+  /// anything else returns null and fills `status` (InvalidArgument).
+  /// The caller keeps `db` alive for the engine's lifetime.
   static std::unique_ptr<QueryEngine> Create(Db* db, const std::string& spec,
                                              Status* status = nullptr);
 
-  QueryEngine(Db* db, std::unique_ptr<Scheduler> scheduler);
+  explicit QueryEngine(Db* db) : db_(db) {}
 
-  /// Runs one batch through Db::MultiSeek under the engine's scheduler.
-  /// Fills `stats` (when non-null) with the batch's cost and folds it
-  /// into totals(). `options` (snapshot, checksum/cache knobs) applies
-  /// to the whole batch — one pinned view, one sequence horizon.
-  void Run(const QueryBatch& batch, std::vector<MultiSeekResult>* results,
-           BatchStats* stats = nullptr, const ReadOptions& options = {});
+  /// Runs one batch through Db::MultiSeek: one pinned view, one
+  /// sequence horizon.
+  void Run(const QueryBatch& batch, std::vector<MultiSeekResult>* results) {
+    db_->MultiSeek(batch, results);
+  }
 
-  const Scheduler& scheduler() const { return *scheduler_; }
-  Db& db() { return *db_; }
-
-  /// Accumulated stats across every Run since construction.
-  const BatchStats& totals() const { return totals_; }
+  const Scheduler& scheduler() const { return scheduler_; }
 
  private:
   Db* db_;
-  std::unique_ptr<Scheduler> scheduler_;
-  BatchStats totals_;
+  Scheduler scheduler_;
 };
 
 }  // namespace proteus

@@ -3,147 +3,17 @@
 #include <algorithm>
 
 namespace proteus {
-namespace {
 
-void IdentityOrder(size_t n, std::vector<uint32_t>* order) {
-  order->resize(n);
-  for (size_t i = 0; i < n; ++i) (*order)[i] = static_cast<uint32_t>(i);
-}
-
-class FifoScheduler : public Scheduler {
- public:
-  std::string Name() const override { return "fifo"; }
-  void Plan(const QueryBatch& batch, const ScheduleContext&,
-            std::vector<uint32_t>* order) const override {
-    IdentityOrder(batch.size(), order);
+void Scheduler::Plan(const QueryBatch& batch, const ScheduleContext&,
+                     std::vector<uint32_t>* order) {
+  order->resize(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    (*order)[i] = static_cast<uint32_t>(i);
   }
-};
-
-class SortedScheduler : public Scheduler {
- public:
-  std::string Name() const override { return "sorted"; }
-  void Plan(const QueryBatch& batch, const ScheduleContext&,
-            std::vector<uint32_t>* order) const override {
-    IdentityOrder(batch.size(), order);
-    std::stable_sort(order->begin(), order->end(),
-                     [&batch](uint32_t a, uint32_t b) {
-                       return batch[a].lo < batch[b].lo;
-                     });
-  }
-};
-
-/// Buckets queries by the file whose key range their lo falls into, then
-/// sorts within each bucket, so all of one SST's probes run back to back
-/// even when the arrival order interleaves files. Without layout hints
-/// every query lands in one bucket and this degrades to key-sorted.
-class GroupedScheduler : public Scheduler {
- public:
-  std::string Name() const override { return "grouped"; }
-  void Plan(const QueryBatch& batch, const ScheduleContext& context,
-            std::vector<uint32_t>* order) const override {
-    IdentityOrder(batch.size(), order);
-    const auto& bounds = context.file_boundaries;
-    auto bucket = [&bounds](const std::string& lo) -> size_t {
-      // First boundary > lo, minus one: the file lo belongs to. Keys
-      // before the first boundary share bucket 0 with it.
-      auto it = std::upper_bound(bounds.begin(), bounds.end(), lo);
-      return it == bounds.begin()
-                 ? 0
-                 : static_cast<size_t>(it - bounds.begin()) - 1;
-    };
-    std::stable_sort(order->begin(), order->end(),
-                     [&](uint32_t a, uint32_t b) {
-                       size_t ba = bucket(batch[a].lo);
-                       size_t bb = bucket(batch[b].lo);
-                       if (ba != bb) return ba < bb;
-                       return batch[a].lo < batch[b].lo;
-                     });
-  }
-};
-
-std::unique_ptr<Scheduler> CreateParamless(
-    const FilterSpec& spec, std::string* error,
-    std::unique_ptr<Scheduler> scheduler) {
-  if (!spec.ExpectKeys({}, error)) return nullptr;
-  return scheduler;
-}
-
-std::unique_ptr<Scheduler> CreateFifo(const FilterSpec& spec,
-                                      std::string* error) {
-  return CreateParamless(spec, error, std::make_unique<FifoScheduler>());
-}
-
-std::unique_ptr<Scheduler> CreateSorted(const FilterSpec& spec,
-                                        std::string* error) {
-  return CreateParamless(spec, error, std::make_unique<SortedScheduler>());
-}
-
-std::unique_ptr<Scheduler> CreateGrouped(const FilterSpec& spec,
-                                         std::string* error) {
-  return CreateParamless(spec, error, std::make_unique<GroupedScheduler>());
-}
-
-}  // namespace
-
-SchedulerRegistry& SchedulerRegistry::Global() {
-  static SchedulerRegistry* registry = new SchedulerRegistry();
-  return *registry;
-}
-
-SchedulerRegistry::SchedulerRegistry() {
-  Register({"fifo", {}, "arrival order (no scheduling)", &CreateFifo});
-  Register({"sorted",
-            {"key-sorted"},
-            "ascending by query lo key",
-            &CreateSorted});
-  Register({"grouped",
-            {"per-sst"},
-            "bucket by overlapping file, key-sorted within each bucket",
-            &CreateGrouped});
-}
-
-bool SchedulerRegistry::Register(SchedulerFamily family) {
-  if (family.create == nullptr) return false;
-  auto taken = [this](const std::string& name) {
-    return Find(name) != nullptr;
-  };
-  if (taken(family.name)) return false;
-  for (const std::string& alias : family.aliases) {
-    if (taken(alias)) return false;
-  }
-  families_.push_back(std::move(family));
-  return true;
-}
-
-const SchedulerFamily* SchedulerRegistry::Find(std::string_view name) const {
-  for (const SchedulerFamily& family : families_) {
-    if (family.name == name) return &family;
-    for (const std::string& alias : family.aliases) {
-      if (alias == name) return &family;
-    }
-  }
-  return nullptr;
-}
-
-std::vector<std::string> SchedulerRegistry::FamilyNames() const {
-  std::vector<std::string> names;
-  names.reserve(families_.size());
-  for (const SchedulerFamily& family : families_) names.push_back(family.name);
-  return names;
-}
-
-std::unique_ptr<Scheduler> SchedulerRegistry::Create(std::string_view spec,
-                                                     std::string* error) const {
-  FilterSpec parsed;
-  if (!FilterSpec::Parse(spec, &parsed, error)) return nullptr;
-  const SchedulerFamily* family = Find(parsed.family());
-  if (family == nullptr) {
-    if (error != nullptr) {
-      *error = "unknown scheduler \"" + parsed.family() + "\"";
-    }
-    return nullptr;
-  }
-  return family->create(parsed, error);
+  std::stable_sort(order->begin(), order->end(),
+                   [&batch](uint32_t a, uint32_t b) {
+                     return batch[a].lo < batch[b].lo;
+                   });
 }
 
 }  // namespace proteus

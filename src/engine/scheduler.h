@@ -1,30 +1,21 @@
-// Batch-query schedulers: the pluggable execution-order policy of the
-// query engine (docs/ARCHITECTURE.md, "Query engine").
+// The batch execution order of the query engine (docs/ARCHITECTURE.md,
+// "Query engine").
 //
-// A scheduler receives a QueryBatch and emits a permutation of its
-// indices; the executor (Db::MultiSeek) then admits queries in that
-// order. Order matters because the engine's per-SST grouping preserves
-// it: queries sorted by key probe a filter's prefix regions and an SST's
-// data blocks in ascending order, turning random cache traffic into
-// sequential traffic.
-//
-// Schedulers are selected by spec string through SchedulerRegistry,
-// mirroring FilterRegistry ("fifo", "sorted", "grouped:boundaries=32");
-// custom schedulers register the same way filter families do. This
-// header is deliberately LSM-agnostic: the optional ScheduleContext
-// carries file boundaries as opaque keys, so schedulers can be unit
-// tested (and reused) without a database.
+// Db::MultiSeek admits a batch's queries in ascending order of their lo
+// key, ties in arrival order. Order matters because the engine's
+// per-SST grouping preserves it: queries sorted by key probe a filter's
+// prefix regions and an SST's data blocks in ascending order, turning
+// random cache traffic into sequential traffic. No other order is
+// offered: arrival order measured no faster on any benchmark workload,
+// and bucketing by target file before sorting by lo is the same
+// permutation as sorting by lo.
 
 #ifndef PROTEUS_ENGINE_SCHEDULER_H_
 #define PROTEUS_ENGINE_SCHEDULER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
-#include "core/filter_spec.h"
 #include "core/query.h"
 
 namespace proteus {
@@ -33,70 +24,17 @@ namespace proteus {
 /// the unit of admission of the query engine.
 using QueryBatch = std::vector<StrRangeQuery>;
 
-/// Optional layout hints for layout-aware schedulers. `file_boundaries`
-/// holds the ascending smallest-keys of the non-overlapping files the
-/// executor will consult (one sorted level); empty when the executor has
-/// no layout to offer, in which case layout-aware schedulers degrade
-/// gracefully (grouped becomes key-sorted).
-struct ScheduleContext {
-  std::vector<std::string> file_boundaries;
-};
+/// Carries nothing. It stays in Plan's signature only because the
+/// benchmark harness (perfbench/) compiles against that signature to
+/// time planning (engine.plan_ns_per_query).
+struct ScheduleContext {};
 
 class Scheduler {
  public:
-  virtual ~Scheduler() = default;
-
-  virtual std::string Name() const = 0;
-
   /// Fills `order` with a permutation of [0, batch.size()): the positions
-  /// of `batch` in execution order. Must emit every index exactly once.
-  virtual void Plan(const QueryBatch& batch, const ScheduleContext& context,
-                    std::vector<uint32_t>* order) const = 0;
-};
-
-/// One registered scheduler family: a spec name plus a factory taking the
-/// parsed spec parameters.
-struct SchedulerFamily {
-  using CreateFn = std::unique_ptr<Scheduler> (*)(const FilterSpec& spec,
-                                                  std::string* error);
-
-  std::string name;                  // canonical spec name
-  std::vector<std::string> aliases;  // extra spec names
-  std::string help;                  // one-line parameter summary
-  CreateFn create = nullptr;
-};
-
-/// The catalogue of scheduler families, mirroring FilterRegistry: spec
-/// strings ("family:key=value,...") resolve to Scheduler instances, and
-/// registering a family makes it available to every consumer (bench_qps
-/// --scheduler=, the server, QueryEngine) with no extra plumbing.
-class SchedulerRegistry {
- public:
-  /// The process-wide registry, with the built-in families registered:
-  ///   fifo     — arrival order (the no-scheduling baseline)
-  ///   sorted   — ascending by query lo key (alias: key-sorted)
-  ///   grouped  — bucket by overlapping file, sorted within each bucket
-  ///              (alias: per-sst)
-  static SchedulerRegistry& Global();
-
-  /// Registers a family. Returns false (family not added) if its name or
-  /// an alias is already taken. Not thread-safe; register during startup.
-  bool Register(SchedulerFamily family);
-
-  const SchedulerFamily* Find(std::string_view name) const;
-
-  /// Canonical names of all registered families.
-  std::vector<std::string> FamilyNames() const;
-
-  /// Builds a scheduler from a spec string. Returns null and fills
-  /// `error` on an unknown family or bad parameters.
-  std::unique_ptr<Scheduler> Create(std::string_view spec,
-                                    std::string* error = nullptr) const;
-
- private:
-  SchedulerRegistry();  // registers the built-in families
-
-  std::vector<SchedulerFamily> families_;
+  /// of `batch` sorted by lo, equal lo keys in arrival order.
+  static void Plan(const QueryBatch& batch, const ScheduleContext& context,
+                   std::vector<uint32_t>* order);
 };
 
 }  // namespace proteus

@@ -39,10 +39,6 @@ BatchServer::~BatchServer() {
 }
 
 Status BatchServer::Start() {
-  Status status;
-  engine_ = QueryEngine::Create(db_, options_.scheduler, &status);
-  if (engine_ == nullptr) return status;
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return Errno("socket");
   int one = 1;
@@ -196,9 +192,17 @@ bool BatchServer::HandleFrame(Connection* conn, const std::string& payload) {
       QueryBatch batch;
       if (!WireDecodeMultiSeekRequest(payload, &batch)) return false;
       std::vector<MultiSeekResult> results;
-      engine_->Run(batch, &results);
+      db_->MultiSeek(batch, &results);
       ++stats_.batches_served;
       stats_.queries_served += batch.size();
+      // A read error is the data's fault, not the client's: report it
+      // rather than answer "not found", and keep the connection.
+      for (const MultiSeekResult& r : results) {
+        if (!r.status.ok()) {
+          WireEncodeErrorResponse(r.status.ToString(), &conn->out);
+          return true;
+        }
+      }
       WireEncodeResultsResponse(results, &conn->out);
       return true;
     }

@@ -1,7 +1,9 @@
 // BatchServer: a single-threaded nonblocking epoll server speaking the
 // engine/wire.h protocol. Each connection streams framed MultiSeek
-// requests; the server runs every batch through a QueryEngine over the
-// shared Db and streams framed Results responses back, in order.
+// requests; the server runs every batch through Db::MultiSeek on the
+// shared Db and streams framed Results responses back, in order. A batch
+// that hits a read error (a corrupt or unreadable data block) gets an
+// Error frame instead, and the connection stays open.
 //
 // The event loop lives in a library class (not just the example binary)
 // so the smoke test can run it in-process: Start() binds an ephemeral
@@ -19,10 +21,8 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 
-#include "engine/query_engine.h"
 #include "lsm/db.h"
 #include "util/status.h"
 
@@ -32,7 +32,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = pick an ephemeral port (see port())
   int backlog = 128;
-  std::string scheduler = "sorted";
 };
 
 class BatchServer {
@@ -80,7 +79,7 @@ class BatchServer {
   void AcceptPending();
   /// Reads until EAGAIN, handles complete frames. False = close the conn.
   bool HandleReadable(Connection* conn);
-  /// Runs one request frame through the engine, appends the response.
+  /// Runs one request frame against the Db, appends the response.
   bool HandleFrame(Connection* conn, const std::string& payload);
   /// Writes until EAGAIN or drained. False = close the conn.
   bool HandleWritable(Connection* conn);
@@ -90,7 +89,6 @@ class BatchServer {
 
   Db* db_;
   ServerOptions options_;
-  std::unique_ptr<QueryEngine> engine_;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_fds_[2] = {-1, -1};  // self-pipe: Stop() -> event loop wakeup

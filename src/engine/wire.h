@@ -12,12 +12,15 @@
 //   op 2  Results response  : n u32 | n x (found u8, key lp, value lp)
 //   op 3  Ping request      : (empty)
 //   op 4  Pong response     : (empty)
-//   op 255 Error response   : message lp          (connection closes after)
+//   op 255 Error response   : message lp
 //
 //   lp := length u32 | raw bytes
 //
-// Frames above kWireMaxFrameBytes are a protocol violation: the server
-// answers with an Error frame and closes. Decoders never trust lengths —
+// Frames above kWireMaxFrameBytes, undecodable requests and unknown ops
+// are protocol violations: the server answers with an Error frame and
+// closes. A MultiSeek that hits a read error (e.g. a corrupt data block)
+// is answered with an Error frame carrying the status text instead of
+// Results, and the connection stays open. Decoders never trust lengths —
 // truncated or oversized bodies fail cleanly.
 
 #ifndef PROTEUS_ENGINE_WIRE_H_

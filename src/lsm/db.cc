@@ -2038,16 +2038,13 @@ SeekResult Db::Seek(std::string_view lo, std::string_view hi,
   const QueryBounds query{lo, hi};
   const uint32_t order = 0;
   SeekResult r;
-  SeekBatch(AcquireReadView(options), options, &query, &order, 1, &r);
+  SeekBatch(AcquireReadView(options), &query, &order, 1, &r);
   return r;
 }
 
-void Db::SeekBatch(const ReadView& view, const ReadOptions& ro,
-                   const QueryBounds* queries, const uint32_t* order,
-                   size_t n, SeekResult* results) {
+void Db::SeekBatch(const ReadView& view, const QueryBounds* queries,
+                   const uint32_t* order, size_t n, SeekResult* results) {
   stats_->seeks += n;
-  const BlockReadOptions bro{ro.verify_checksums, ro.fill_cache,
-                             /*use_cache=*/true};
   const Version& version = *view.version;
 
   // Every source keeps a POSITIONED candidate across tombstone winners:
@@ -2211,7 +2208,8 @@ void Db::SeekBatch(const ReadView& view, const ReadOptions& ro,
   auto enter_file = [&](RunSrc& src, uint8_t verdict) {
     src.verdict = verdict;
     src.seeked = src.found_any = false;
-    src.cur.Init(src.files[src.idx]->reader.get(), bro, view.snapshot);
+    src.cur.Init(src.files[src.idx]->reader.get(), BlockReadOptions{},
+                 view.snapshot);
   };
   // Positions the run's current file at its smallest visible entry in
   // [lo, hi]; false when it has none (filter negative, exhausted, read
@@ -2325,7 +2323,7 @@ void Db::SeekBatch(const ReadView& view, const ReadOptions& ro,
   }
 }
 
-void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+void Db::MultiSeek(const QueryBatch& batch,
                    std::vector<MultiSeekResult>* results,
                    const ReadOptions& options) {
   const size_t n = batch.size();
@@ -2336,42 +2334,12 @@ void Db::MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
   // consistent even while writers commit concurrently.
   const ReadView view = AcquireReadView(options);
 
-  // Layout hints for layout-aware schedulers: the boundaries of the
-  // largest sorted level (the one most batches fan out over).
-  ScheduleContext context;
-  size_t widest = 0;  // 0 = no sorted level yet (L0 has no boundaries)
-  for (size_t level = 1; level < view.version->levels.size(); ++level) {
-    if (view.version->levels[level].size() >
-        (widest == 0 ? size_t{0} : view.version->levels[widest].size())) {
-      widest = level;
-    }
-  }
-  if (widest != 0) {
-    context.file_boundaries.reserve(view.version->levels[widest].size());
-    for (const auto& f : view.version->levels[widest]) {
-      context.file_boundaries.push_back(f->smallest);
-    }
-  }
   std::vector<uint32_t> order;
-  scheduler.Plan(batch, context, &order);
-  // A scheduler must emit a permutation; a broken one must not lose or
-  // duplicate queries, so fall back to arrival order if it didn't.
-  {
-    std::vector<uint8_t> seen(n, 0);
-    bool valid = order.size() == n;
-    for (size_t i = 0; valid && i < n; ++i) {
-      valid = order[i] < n && !seen[order[i]];
-      if (valid) seen[order[i]] = 1;
-    }
-    if (!valid) {
-      order.resize(n);
-      for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(i);
-    }
-  }
+  Scheduler::Plan(batch, ScheduleContext{}, &order);
 
   std::vector<QueryBounds> queries(n);
   for (size_t i = 0; i < n; ++i) queries[i] = {batch[i].lo, batch[i].hi};
-  SeekBatch(view, options, queries.data(), order.data(), n, results->data());
+  SeekBatch(view, queries.data(), order.data(), n, results->data());
 }
 
 Status Db::VerifyChecksums() const {

@@ -116,12 +116,6 @@ struct ReadOptions {
   /// Read as of this pinned horizon; null reads the latest committed
   /// state (the default).
   const Snapshot* snapshot = nullptr;
-  /// Verify the per-block CRC32C on data-block reads that miss the
-  /// cache. The in-block checksum is always verified.
-  bool verify_checksums = true;
-  /// Insert data blocks read on behalf of this query into the block
-  /// cache. Turn off for scans that should not evict the hot set.
-  bool fill_cache = true;
 };
 
 /// Per-write knobs for Put/Delete.
@@ -338,12 +332,12 @@ class Db {
   /// The batch amortizes the pinned view, the binding of the tree's
   /// sources, and the filter verdicts: every query's first check of a
   /// file comes from one MultiMayContain call per file. SST probes then
-  /// run per query, in the order the scheduler fixes (see
-  /// engine/scheduler.h), so a key-sorted order keeps one file's data
-  /// blocks hot across neighbouring queries. The whole batch resolves
-  /// against ONE pinned view and one snapshot horizon, so its answers
-  /// are mutually consistent even while writers commit concurrently.
-  void MultiSeek(const QueryBatch& batch, const Scheduler& scheduler,
+  /// run per query in key-sorted order (engine/scheduler.h), so one
+  /// file's data blocks stay hot across neighbouring queries. The whole
+  /// batch resolves against ONE pinned view and one snapshot horizon,
+  /// so its answers are mutually consistent even while writers commit
+  /// concurrently.
+  void MultiSeek(const QueryBatch& batch,
                  std::vector<MultiSeekResult>* results,
                  const ReadOptions& options = {});
 
@@ -536,9 +530,8 @@ class Db {
   /// positioned-cursor merge query by query. Counts the seeks, read
   /// errors and empty results (which feed the sample queue with the
   /// query's own bounds).
-  void SeekBatch(const ReadView& view, const ReadOptions& ro,
-                 const QueryBounds* queries, const uint32_t* order, size_t n,
-                 SeekResult* results);
+  void SeekBatch(const ReadView& view, const QueryBounds* queries,
+                 const uint32_t* order, size_t n, SeekResult* results);
 
   /// Writes SSTs from a sorted (key asc, seqno desc) entry stream;
   /// builds their filters. File boundaries never split a key's version

@@ -233,10 +233,7 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (!ReadRaw(handle.offset, handle.size, &disk)) {
     return Status::IOError(Errno("cannot read data block: " + path_));
   }
-  // verify_checksums=false skips only this redundant handle CRC; the
-  // in-block checksum below still runs (Init cannot parse without it),
-  // so a cached block is never wholly unverified.
-  if (opts.verify_checksums && Crc32c(disk) != handle.crc) {
+  if (Crc32c(disk) != handle.crc) {
     return Status::Corruption("data block CRC mismatch: " + path_);
   }
   auto payload = std::make_shared<std::string>();
@@ -246,7 +243,7 @@ Status SstReader::ReadDataBlock(size_t block_index, BlockReader* out,
   if (!out->Init(*payload)) {
     return Status::Corruption("data block checksum mismatch: " + path_);
   }
-  if (opts.use_cache && opts.fill_cache && cache_ != nullptr) {
+  if (opts.use_cache && cache_ != nullptr) {
     cache_->Insert(file_id_, handle.offset, payload);
   }
   return Status::OK();

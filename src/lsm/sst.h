@@ -47,13 +47,11 @@ struct SstStats {
   uint64_t bytes_written = 0;
 };
 
-/// Per-read knobs threaded down from ReadOptions at the Db layer.
+/// Per-read knobs of a data-block read. The handle CRC is always checked.
 struct BlockReadOptions {
-  bool verify_checksums = true;  // check the handle CRC on a cache miss
-  bool fill_cache = true;        // insert read blocks into the block cache
-  // Look the block up in the cache at all. Compaction and
-  // VerifyChecksums set this false: they must observe the on-disk bytes,
-  // not a previously verified copy.
+  // Look the block up in (and insert it into) the block cache.
+  // Compaction and VerifyChecksums set this false: they must observe the
+  // on-disk bytes, not a previously verified copy.
   bool use_cache = true;
 };
 
@@ -268,8 +266,7 @@ class SstReader {
  private:
   friend class Iterator;
   // Compaction/verification reads: always verified, never cached.
-  static constexpr BlockReadOptions kNoCacheRead{
-      /*verify_checksums=*/true, /*fill_cache=*/false, /*use_cache=*/false};
+  static constexpr BlockReadOptions kNoCacheRead{/*use_cache=*/false};
   struct BlockHandle {
     uint64_t offset = 0;
     uint64_t size = 0;

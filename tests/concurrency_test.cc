@@ -160,31 +160,27 @@ TEST(Mvcc, MultiSeekMatchesSeekAtFixedSnapshotUnderConcurrentWriter) {
   });
 
   Rng rng(83);
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr) << spec;
-    QueryBatch batch;
-    for (int i = 0; i < 300; ++i) {
-      uint64_t k = rng.NextBelow(5000) * 1000;
-      uint64_t span = rng.NextBelow(8000);
-      batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
-                       EncodeKeyBE(k + span)});
-    }
-    std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results, at_snap);
-    ASSERT_EQ(results.size(), batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      SeekResult seq = db->Seek(batch[i].lo, batch[i].hi, at_snap);
-      auto it = ref.lower_bound(batch[i].lo);
-      const bool ref_found = it != ref.end() && it->first <= batch[i].hi;
-      ASSERT_EQ(seq.found, ref_found) << spec << " query " << i;
-      ASSERT_EQ(results[i].found, ref_found) << spec << " query " << i;
-      if (ref_found) {
-        ASSERT_EQ(seq.key, it->first) << spec << " query " << i;
-        ASSERT_EQ(seq.value, it->second) << spec << " query " << i;
-        ASSERT_EQ(results[i].key, it->first) << spec << " query " << i;
-        ASSERT_EQ(results[i].value, it->second) << spec << " query " << i;
-      }
+  QueryBatch batch;
+  for (int i = 0; i < 900; ++i) {
+    uint64_t k = rng.NextBelow(5000) * 1000;
+    uint64_t span = rng.NextBelow(8000);
+    batch.push_back({EncodeKeyBE(k > span ? k - span : 0),
+                     EncodeKeyBE(k + span)});
+  }
+  std::vector<MultiSeekResult> results;
+  db->MultiSeek(batch, &results, at_snap);
+  ASSERT_EQ(results.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    SeekResult seq = db->Seek(batch[i].lo, batch[i].hi, at_snap);
+    auto it = ref.lower_bound(batch[i].lo);
+    const bool ref_found = it != ref.end() && it->first <= batch[i].hi;
+    ASSERT_EQ(seq.found, ref_found) << "query " << i;
+    ASSERT_EQ(results[i].found, ref_found) << "query " << i;
+    if (ref_found) {
+      ASSERT_EQ(seq.key, it->first) << "query " << i;
+      ASSERT_EQ(seq.value, it->second) << "query " << i;
+      ASSERT_EQ(results[i].key, it->first) << "query " << i;
+      ASSERT_EQ(results[i].value, it->second) << "query " << i;
     }
   }
   stop.store(true);

@@ -1,6 +1,7 @@
-// The batched query engine: scheduler registry + plan properties,
-// randomized MultiSeek ≡ sequential-Seek equivalence (tombstones,
-// filters, across reopen), per-batch stats, and the sample-queue feed.
+// The batched query engine: key-sorted plan properties, randomized
+// MultiSeek ≡ sequential-Seek equivalence (tombstones, filters, across
+// reopen), counter parity, the sample-queue feed, and QueryEngine's
+// spec check.
 
 #include <gtest/gtest.h>
 
@@ -43,124 +44,62 @@ QueryBatch RandomBatch(Rng& rng, size_t n) {
   return batch;
 }
 
-// --- scheduler registry + plan properties ---
-
-TEST(SchedulerTest, RegistryResolvesFamiliesAndAliases) {
-  auto& registry = SchedulerRegistry::Global();
-  for (const char* spec : {"fifo", "sorted", "key-sorted", "grouped",
-                           "per-sst"}) {
-    std::string error;
-    auto scheduler = registry.Create(spec, &error);
-    ASSERT_NE(scheduler, nullptr) << spec << ": " << error;
-  }
-  std::string error;
-  EXPECT_EQ(registry.Create("no-such-scheduler", &error), nullptr);
-  EXPECT_NE(error.find("unknown scheduler"), std::string::npos) << error;
-  // The builtins take no parameters.
-  EXPECT_EQ(registry.Create("sorted:foo=1", &error), nullptr);
-}
+// --- plan properties ---
 
 TEST(SchedulerTest, PlansArePermutations) {
   Rng rng(17);
   QueryBatch batch = RandomBatch(rng, 100);
-  ScheduleContext context;
-  for (int i = 0; i < 8; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 600000));
-  }
-  for (const char* spec : {"fifo", "sorted", "grouped"}) {
-    auto scheduler = SchedulerRegistry::Global().Create(spec);
-    ASSERT_NE(scheduler, nullptr);
-    std::vector<uint32_t> order;
-    scheduler->Plan(batch, context, &order);
-    ASSERT_EQ(order.size(), batch.size()) << spec;
-    std::vector<uint32_t> sorted_order = order;
-    std::sort(sorted_order.begin(), sorted_order.end());
-    for (uint32_t i = 0; i < sorted_order.size(); ++i) {
-      ASSERT_EQ(sorted_order[i], i) << spec << " is not a permutation";
-    }
-  }
-}
-
-TEST(SchedulerTest, FifoKeepsArrivalOrder) {
-  Rng rng(18);
-  QueryBatch batch = RandomBatch(rng, 50);
-  auto scheduler = SchedulerRegistry::Global().Create("fifo");
   std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (uint32_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  Scheduler::Plan(batch, ScheduleContext{}, &order);
+  ASSERT_EQ(order.size(), batch.size());
+  std::vector<uint32_t> sorted_order = order;
+  std::sort(sorted_order.begin(), sorted_order.end());
+  for (uint32_t i = 0; i < sorted_order.size(); ++i) {
+    ASSERT_EQ(sorted_order[i], i) << "not a permutation";
+  }
 }
 
 TEST(SchedulerTest, SortedOrdersByLowerBound) {
   Rng rng(19);
   QueryBatch batch = RandomBatch(rng, 200);
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  std::vector<uint32_t> order;
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  ASSERT_EQ(order.size(), batch.size());
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
+  // Repeat some lo keys (with different hi) so ties occur.
+  for (size_t i = 0; i < 40; ++i) {
+    batch.push_back({batch[i * 3].lo, EncodeKeyBE(i)});
   }
-}
-
-TEST(SchedulerTest, GroupedClustersByFileThenSortsByKey) {
-  Rng rng(20);
-  QueryBatch batch = RandomBatch(rng, 200);
-  ScheduleContext context;
-  for (int i = 0; i < 10; ++i) {
-    context.file_boundaries.push_back(EncodeKeyBE(i * 500000));
-  }
-  auto bucket_of = [&](const StrRangeQuery& q) {
-    auto it = std::upper_bound(context.file_boundaries.begin(),
-                               context.file_boundaries.end(), q.lo);
-    return it == context.file_boundaries.begin()
-               ? 0
-               : static_cast<int>(it - context.file_boundaries.begin()) - 1;
-  };
-  auto scheduler = SchedulerRegistry::Global().Create("grouped");
   std::vector<uint32_t> order;
-  scheduler->Plan(batch, context, &order);
+  Scheduler::Plan(batch, ScheduleContext{}, &order);
   ASSERT_EQ(order.size(), batch.size());
+  size_t ties = 0;
   for (size_t i = 1; i < order.size(); ++i) {
-    const auto& prev = batch[order[i - 1]];
-    const auto& cur = batch[order[i]];
-    ASSERT_LE(bucket_of(prev), bucket_of(cur)) << "buckets out of order";
-    if (bucket_of(prev) == bucket_of(cur)) {
-      EXPECT_LE(prev.lo, cur.lo) << "keys out of order within a bucket";
+    const std::string& prev = batch[order[i - 1]].lo;
+    const std::string& cur = batch[order[i]].lo;
+    EXPECT_LE(prev, cur);
+    if (prev == cur) {
+      ++ties;
+      EXPECT_LT(order[i - 1], order[i]) << "tie broke arrival order";
     }
   }
-  // Without layout hints, grouped degrades to key order.
-  scheduler->Plan(batch, ScheduleContext(), &order);
-  for (size_t i = 1; i < order.size(); ++i) {
-    EXPECT_LE(batch[order[i - 1]].lo, batch[order[i]].lo);
-  }
+  EXPECT_GE(ties, 40u);
 }
 
 // --- MultiSeek ≡ Seek ---
 
 // Runs random batches against a DB and asserts MultiSeek's results equal
-// a sequential Seek loop's, for every builtin scheduler.
+// a sequential Seek loop's.
 void CheckEquivalence(Db& db, Rng& rng, int batches, size_t batch_size) {
-  std::vector<std::string> specs = {"fifo", "sorted", "grouped"};
   for (int round = 0; round < batches; ++round) {
     QueryBatch batch = RandomBatch(rng, batch_size);
-    std::vector<std::vector<MultiSeekResult>> all(specs.size());
-    for (size_t s = 0; s < specs.size(); ++s) {
-      auto scheduler = SchedulerRegistry::Global().Create(specs[s]);
-      ASSERT_NE(scheduler, nullptr);
-      db.MultiSeek(batch, *scheduler, &all[s]);
-      ASSERT_EQ(all[s].size(), batch.size());
-    }
+    std::vector<MultiSeekResult> results;
+    db.MultiSeek(batch, &results);
+    ASSERT_EQ(results.size(), batch.size());
     for (size_t i = 0; i < batch.size(); ++i) {
       SeekResult seq = db.Seek(batch[i].lo, batch[i].hi);
-      for (size_t s = 0; s < specs.size(); ++s) {
-        const MultiSeekResult& r = all[s][i];
-        ASSERT_EQ(r.found, seq.found)
-            << specs[s] << " round " << round << " query " << i;
-        ASSERT_EQ(r.status.ok(), seq.status.ok()) << specs[s];
-        if (seq.found) {
-          ASSERT_EQ(r.key, seq.key) << specs[s] << " query " << i;
-          ASSERT_EQ(r.value, seq.value) << specs[s] << " query " << i;
-        }
+      const MultiSeekResult& r = results[i];
+      ASSERT_EQ(r.found, seq.found) << "round " << round << " query " << i;
+      ASSERT_EQ(r.status.ok(), seq.status.ok());
+      if (seq.found) {
+        ASSERT_EQ(r.key, seq.key) << "query " << i;
+        ASSERT_EQ(r.value, seq.value) << "query " << i;
       }
     }
   }
@@ -238,11 +177,10 @@ TEST(MultiSeekTest, MatchesSeekAgainstReferenceMap) {
       ref[key] = value;
     }
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   for (int round = 0; round < 20; ++round) {
     QueryBatch batch = RandomBatch(rng, 64);
     std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results);
+    db->MultiSeek(batch, &results);
     for (size_t i = 0; i < batch.size(); ++i) {
       auto it = ref.lower_bound(batch[i].lo);
       bool ref_found = it != ref.end() && it->first <= batch[i].hi;
@@ -259,11 +197,10 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
   auto [db, st] = Db::Create(SmallDbOptions("edge"));
   ASSERT_TRUE(st.ok());
   ASSERT_TRUE(db->Put(EncodeKeyBE(100), "x").ok());
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   std::vector<MultiSeekResult> results;
-  db->MultiSeek({}, *scheduler, &results);
+  db->MultiSeek({}, &results);
   EXPECT_TRUE(results.empty());
-  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, *scheduler, &results);
+  db->MultiSeek({{EncodeKeyBE(50), EncodeKeyBE(150)}}, &results);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(results[0].found);
   EXPECT_EQ(results[0].key, EncodeKeyBE(100));
@@ -299,15 +236,13 @@ TEST(MultiSeekTest, CountersMatchSequentialSeeks) {
     for (size_t i = 0; i < a.size(); ++i) a[i] -= b[i];
     return a;
   };
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  ASSERT_NE(scheduler, nullptr);
   uint64_t total_checks = 0;
   for (int round = 0; round < 10; ++round) {
     QueryBatch batch = RandomBatch(rng, 64);
     db->ResetStats();
     const std::vector<uint64_t> before = file_counters();
     std::vector<MultiSeekResult> results;
-    db->MultiSeek(batch, *scheduler, &results);
+    db->MultiSeek(batch, &results);
     const DbStats batched = db->stats();
     const std::vector<uint64_t> mid = file_counters();
 
@@ -340,14 +275,13 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
   for (uint64_t k = 0; k < 200; ++k) {
     ASSERT_TRUE(db->Put(EncodeKeyBE(k * 1000000), "v").ok());
   }
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
   QueryBatch batch;
   for (uint64_t i = 0; i < 100; ++i) {
     // Between keys: all empty.
     batch.push_back({EncodeKeyBE(i * 1000000 + 10), EncodeKeyBE(i * 1000000 + 20)});
   }
   std::vector<MultiSeekResult> results;
-  db->MultiSeek(batch, *scheduler, &results);
+  db->MultiSeek(batch, &results);
   for (const auto& r : results) ASSERT_FALSE(r.found);
   const DbStats s = db->stats();
   EXPECT_EQ(s.seeks, 100u);
@@ -358,8 +292,8 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
   EXPECT_EQ(db->query_queue().seen(), 100u);
 }
 
-TEST(QueryEngineTest, ReportsBatchStats) {
-  auto options = SmallDbOptions("stats");
+TEST(QueryEngineTest, AcceptsOnlySortedAndRunsMultiSeek) {
+  auto options = SmallDbOptions("engine");
   options.filter_policy = MakeProteusIntPolicy(14.0);
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
@@ -372,31 +306,30 @@ TEST(QueryEngineTest, ReportsBatchStats) {
   ASSERT_TRUE(db->CompactAll().ok());
 
   Status status;
-  auto engine = QueryEngine::Create(db.get(), "grouped", &status);
+  auto engine = QueryEngine::Create(db.get(), "sorted", &status);
   ASSERT_NE(engine, nullptr) << status.ToString();
-  EXPECT_EQ(engine->scheduler().Name(), "grouped");
+  EXPECT_TRUE(status.ok());
+  // The removed orders, and nonsense, surface as InvalidArgument.
+  for (const char* spec : {"fifo", "grouped", "warp-speed"}) {
+    EXPECT_EQ(QueryEngine::Create(db.get(), spec, &status), nullptr) << spec;
+    EXPECT_TRUE(status.IsInvalidArgument()) << spec << status.ToString();
+  }
 
   QueryBatch batch = RandomBatch(rng, 128);
-  std::vector<MultiSeekResult> results;
-  BatchStats stats;
-  engine->Run(batch, &results, &stats);
-  EXPECT_EQ(stats.queries, batch.size());
+  std::vector<MultiSeekResult> ran, direct;
+  engine->Run(batch, &ran);
+  db->MultiSeek(batch, &direct);
+  ASSERT_EQ(ran.size(), batch.size());
+  ASSERT_EQ(direct.size(), batch.size());
   uint64_t found = 0;
-  for (const auto& r : results) found += r.found;
-  EXPECT_EQ(stats.found, found);
-  EXPECT_EQ(stats.empty, batch.size() - found);
-  EXPECT_GT(stats.wall_ns, 0u);
-  EXPECT_GT(stats.filter_checks, 0u);
-  EXPECT_GT(stats.Qps(), 0.0);
-  EXPECT_EQ(engine->totals().queries, batch.size());
-
-  engine->Run(batch, &results);
-  EXPECT_EQ(engine->totals().queries, 2 * batch.size());
-
-  // Bad spec surfaces as InvalidArgument, not a crash.
-  auto bad = QueryEngine::Create(db.get(), "warp-speed", &status);
-  EXPECT_EQ(bad, nullptr);
-  EXPECT_FALSE(status.ok());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(ran[i].found, direct[i].found) << i;
+    EXPECT_EQ(ran[i].key, direct[i].key) << i;
+    EXPECT_EQ(ran[i].value, direct[i].value) << i;
+    EXPECT_TRUE(ran[i].status.ok()) << i;
+    found += ran[i].found;
+  }
+  EXPECT_GT(found, 0u);
 }
 
 TEST(DbStatsTest, ObservedFileFprCountsFalsePositives) {

@@ -1,6 +1,7 @@
 // BatchServer smoke tests: concurrent loopback connections round-trip
 // MultiSeek batches through the wire protocol and match direct Seek
-// results; protocol errors get an error frame and a closed connection.
+// results; protocol errors get an error frame and a closed connection;
+// read errors get an error frame on a connection that stays open.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,9 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -78,14 +82,19 @@ bool RecvFrame(int fd, std::string* payload) {
 
 class ServerTest : public ::testing::Test {
  protected:
-  void StartServer(const std::string& scheduler = "sorted") {
+  static DbOptions Options() {
     DbOptions options;
     options.dir = "/tmp/proteus_server_test";
     options.memtable_bytes = 64 << 10;
     options.sst_target_bytes = 128 << 10;
     options.block_size = 1024;
     options.filter_policy = MakeProteusIntPolicy(14.0);
-    auto [db, create_status] = Db::Create(options);
+    return options;
+  }
+
+  // A fresh compacted tree in Options().dir, held in db_.
+  void BuildDb() {
+    auto [db, create_status] = Db::Create(Options());
     ASSERT_TRUE(create_status.ok()) << create_status.ToString();
     db_ = std::move(db);
     Rng rng(31);
@@ -95,15 +104,22 @@ class ServerTest : public ::testing::Test {
           db_->Put(EncodeKeyBE(k), "v" + std::to_string(op)).ok());
     }
     ASSERT_TRUE(db_->CompactAll().ok());
+  }
 
+  // Serves db_ on an ephemeral port from a background thread.
+  void ServeDb() {
     ServerOptions server_options;
     server_options.port = 0;  // ephemeral
-    server_options.scheduler = scheduler;
     server_ = std::make_unique<BatchServer>(db_.get(), server_options);
     Status status = server_->Start();
     ASSERT_TRUE(status.ok()) << status.ToString();
     ASSERT_NE(server_->port(), 0);
     serve_thread_ = std::thread([this] { serve_status_ = server_->Serve(); });
+  }
+
+  void StartServer() {
+    BuildDb();
+    ServeDb();
   }
 
   void TearDown() override {
@@ -133,7 +149,7 @@ TEST_F(ServerTest, PingPong) {
 }
 
 TEST_F(ServerTest, EightConcurrentConnectionsMatchDirectSeek) {
-  StartServer("grouped");
+  StartServer();
   constexpr int kConnections = 8;
   constexpr int kBatchesPerConnection = 12;
   constexpr size_t kBatchSize = 48;
@@ -230,6 +246,56 @@ TEST_F(ServerTest, MalformedFrameGetsErrorAndClose) {
   EXPECT_EQ(WirePeekOp(payload), kWireOpError);
   EXPECT_EQ(::read(fd, &byte, 1), 0);
   ::close(fd);
+}
+
+// A corrupt data block must reach the client as an error, not as an
+// empty range, and must not cost it the connection.
+TEST_F(ServerTest, ReadErrorGetsErrorFrameAndConnectionStaysOpen) {
+  BuildDb();
+  db_.reset();
+  // Flip one byte inside the first data block of every SST, so any
+  // query that reads a file's smallest keys hits a CRC mismatch.
+  int flipped = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(Options().dir)) {
+    if (entry.path().extension() != ".sst") continue;
+    std::string content;
+    {
+      std::ifstream in(entry.path(), std::ios::binary);
+      content.assign(std::istreambuf_iterator<char>(in), {});
+    }
+    ASSERT_GT(content.size(), 16u);
+    content[16] ^= 0x20;
+    std::ofstream(entry.path(), std::ios::binary | std::ios::trunc)
+        << content;
+    ++flipped;
+  }
+  ASSERT_GT(flipped, 0);
+  auto [db, open_status] = Db::Open(Options());
+  ASSERT_NE(db, nullptr) << open_status.ToString();
+  db_ = std::move(db);
+  ServeDb();
+
+  int fd = ConnectLoopback(server_->port());
+  ASSERT_GE(fd, 0);
+  std::string request, payload;
+  WireEncodeMultiSeekRequest(
+      {{EncodeKeyBE(0), EncodeKeyBE(4000 * 1000)}}, &request);
+  ASSERT_TRUE(SendAll(fd, request));
+  ASSERT_TRUE(RecvFrame(fd, &payload));
+  EXPECT_EQ(WirePeekOp(payload), kWireOpError);
+
+  // Not a protocol violation: the same connection keeps serving.
+  request.clear();
+  WireEncodePingRequest(&request);
+  ASSERT_TRUE(SendAll(fd, request));
+  ASSERT_TRUE(RecvFrame(fd, &payload));
+  EXPECT_EQ(WirePeekOp(payload), kWireOpPong);
+  ::close(fd);
+  server_->Stop();
+  serve_thread_.join();
+  EXPECT_EQ(server_->stats().batches_served, 1u);
+  EXPECT_EQ(server_->stats().protocol_errors, 0u);
 }
 
 }  // namespace

@@ -296,11 +296,8 @@ TEST(SeekTombstones, DenseTombstoneRunCostsOneDescentPerFile) {
   // A one-query MultiSeek walks the same run on the same read path, at
   // the same cost.
   db->ResetStats();
-  auto scheduler = SchedulerRegistry::Global().Create("sorted");
-  ASSERT_NE(scheduler, nullptr);
   std::vector<MultiSeekResult> results;
-  db->MultiSeek({{EncodeKeyBE(0), EncodeKeyBE(kKeys - 1)}}, *scheduler,
-                &results);
+  db->MultiSeek({{EncodeKeyBE(0), EncodeKeyBE(kKeys - 1)}}, &results);
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
   ASSERT_TRUE(results[0].found);
