@@ -12,15 +12,11 @@
 
 namespace proteus {
 
-BloomFilter::BloomFilter(uint64_t n_bits, uint32_t n_hashes, bool blocked)
-    : n_bits_(std::max<uint64_t>(n_bits, blocked ? kBlockBits : 64)),
+BloomFilter::BloomFilter(uint64_t n_bits, uint32_t n_hashes)
+    : n_bits_(std::max<uint64_t>((n_bits + kBlockBits - 1) / kBlockBits, 1) *
+              kBlockBits),
       n_hashes_(std::clamp<uint32_t>(n_hashes, 1, kMaxHashes)),
-      blocked_(blocked) {
-  if (blocked_) {
-    n_bits_ = (n_bits_ + kBlockBits - 1) / kBlockBits * kBlockBits;
-  }
-  words_.assign((n_bits_ + 63) / 64, 0);
-}
+      words_(n_bits_ / 64, 0) {}
 
 uint32_t BloomFilter::OptimalHashes(uint64_t m_bits, uint64_t n_items) {
   if (n_items == 0) return 1;
@@ -30,18 +26,6 @@ uint32_t BloomFilter::OptimalHashes(uint64_t m_bits, uint64_t n_items) {
 }
 
 double BloomFilter::TheoreticalFpr(uint64_t m_bits, uint64_t n_items) {
-  if (n_items == 0) return 0.0;
-  if (m_bits == 0) return 1.0;
-  uint32_t k = OptimalHashes(m_bits, n_items);
-  // Eq. 6 of the paper: p = (1 - e^{-ln 2})^k == 0.5^k when k is the
-  // unclamped optimum; with the clamp we evaluate the general formula.
-  double m = static_cast<double>(m_bits);
-  double n = static_cast<double>(n_items);
-  return std::pow(1.0 - std::exp(-static_cast<double>(k) * n / m),
-                  static_cast<double>(k));
-}
-
-double BloomFilter::TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items) {
   if (n_items == 0) return 0.0;
   if (m_bits == 0) return 1.0;
   // The CPFPR design sweeps evaluate thousands of configs but only ~65
@@ -57,7 +41,8 @@ double BloomFilter::TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items) {
   const uint32_t k = OptimalHashes(m_bits, n_items);
   const double b = static_cast<double>(kBlockBits);
   // A block receives Poisson(lambda)-many items, lambda = B * n / m; a
-  // block holding j items false-positives like a j-item, B-bit filter.
+  // block holding j items false-positives like a j-item, B-bit filter
+  // under Eq. 6's general form (1 - e^{-kj/B})^k.
   const double lambda =
       b * static_cast<double>(n_items) / static_cast<double>(m_bits);
   double fpr = 1.0;
@@ -89,42 +74,28 @@ double BloomFilter::TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items) {
 
 void BloomFilter::InsertHash(uint64_t h1, uint64_t h2) {
   if (words_.empty()) return;  // default-constructed: nothing to set
-  if (blocked_) {
-    uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    const uint64_t step = h1 | 1;
-    uint64_t pos = h2;
-    for (uint32_t i = 0; i < n_hashes_; ++i) {
-      const uint64_t bit = pos & (kBlockBits - 1);
-      block[bit >> 6] |= uint64_t{1} << (bit & 63);
-      pos += step;
-    }
-    return;
-  }
+  uint64_t* block = words_.data() + BlockIndex(h1) * 8;
+  const uint64_t step = h1 | 1;
+  uint64_t pos = h2;
   for (uint32_t i = 0; i < n_hashes_; ++i) {
-    uint64_t bit = BitIndex(h1, h2, i);
-    words_[bit >> 6] |= uint64_t{1} << (bit & 63);
+    const uint64_t bit = pos & (kBlockBits - 1);
+    block[bit >> 6] |= uint64_t{1} << (bit & 63);
+    pos += step;
   }
 }
 
 bool BloomFilter::MayContainHash(uint64_t h1, uint64_t h2) const {
   // Conservative answer for a default-constructed (empty) filter; also
   // keeps a corrupt blob that smuggled an empty filter into a probed slot
-  // from dividing by zero below.
+  // from indexing a block that does not exist.
   if (words_.empty()) return true;
-  if (blocked_) {
-    const uint64_t* block = words_.data() + BlockIndex(h1) * 8;
-    const uint64_t step = h1 | 1;
-    uint64_t pos = h2;
-    for (uint32_t i = 0; i < n_hashes_; ++i) {
-      const uint64_t bit = pos & (kBlockBits - 1);
-      if (((block[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
-      pos += step;
-    }
-    return true;
-  }
+  const uint64_t* block = words_.data() + BlockIndex(h1) * 8;
+  const uint64_t step = h1 | 1;
+  uint64_t pos = h2;
   for (uint32_t i = 0; i < n_hashes_; ++i) {
-    uint64_t bit = BitIndex(h1, h2, i);
-    if (((words_[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
+    const uint64_t bit = pos & (kBlockBits - 1);
+    if (((block[bit >> 6] >> (bit & 63)) & 1) == 0) return false;
+    pos += step;
   }
   return true;
 }
@@ -132,9 +103,9 @@ bool BloomFilter::MayContainHash(uint64_t h1, uint64_t h2) const {
 #if PROTEUS_HAVE_AVX2_KERNELS
 namespace {
 
-/// AVX2 batch probe of the blocked layout: 8 queries per iteration as two
-/// interleaved 4-lane streams, so eight independent gathers are in flight
-/// while each probe's shift/test resolves. Per probe round each lane
+/// AVX2 batch probe: 8 queries per iteration as two interleaved 4-lane
+/// streams, so eight independent gathers are in flight while each
+/// probe's shift/test resolves. Per probe round each lane
 /// computes bit = pos & 511 inside its own 512-bit block, gathers the
 /// containing word, and ANDs the tested bit into an accumulator; one
 /// testz pair early-exits the probe loop once all 8 lanes have failed.
@@ -142,7 +113,7 @@ namespace {
 /// with scalar 128-bit multiplies (AVX2 has no 64x64 high-half multiply;
 /// the gathers dominate regardless). Returns how many queries were
 /// resolved — always a multiple of 8; the caller finishes the tail.
-__attribute__((target("avx2"))) size_t MultiContainBlockedAvx2(
+__attribute__((target("avx2"))) size_t MultiContainAvx2(
     const uint64_t* words, uint64_t n_blocks, uint32_t n_hashes,
     const uint64_t* h1, const uint64_t* h2, size_t n, uint8_t* out) {
   const long long* base = reinterpret_cast<const long long*>(words);
@@ -233,13 +204,9 @@ void BloomFilter::MultiContainHash(const uint64_t* h1, const uint64_t* h2,
   }
   size_t i = 0;
 #if PROTEUS_HAVE_AVX2_KERNELS
-  // The standard layout reduces each probe mod n_bits_ — an arbitrary
-  // 64-bit modulo with no efficient AVX2 form — so only the blocked
-  // layout (one multiply-shift block pick, then power-of-two masks)
-  // has a vector kernel.
-  if (blocked_ && SimdAvx2Enabled()) {
-    i = MultiContainBlockedAvx2(words_.data(), words_.size() / 8, n_hashes_,
-                                h1, h2, n, out);
+  if (SimdAvx2Enabled()) {
+    i = MultiContainAvx2(words_.data(), words_.size() / 8, n_hashes_, h1, h2,
+                         n, out);
   }
 #endif
   // Scalar fallback and tail: the whole batch's hashes are in hand, so
@@ -251,10 +218,7 @@ void BloomFilter::MultiContainHash(const uint64_t* h1, const uint64_t* h2,
 }
 
 void BloomFilter::AppendTo(std::string* out) const {
-  // Unblocked filters write the original format: blobs from before the
-  // blocked layout existed remain bit-identical and keep parsing.
-  const uint64_t format = blocked_ ? uint64_t{kBlockedFormat} << 32 : 0;
-  uint64_t header[2] = {n_bits_, format | n_hashes_};
+  uint64_t header[2] = {n_bits_, uint64_t{kBlockedFormat} << 32 | n_hashes_};
   out->append(reinterpret_cast<const char*>(header), sizeof(header));
   out->append(reinterpret_cast<const char*>(words_.data()),
               words_.size() * sizeof(uint64_t));
@@ -267,20 +231,20 @@ bool BloomFilter::ParseFrom(std::string_view* in, BloomFilter* out) {
   const uint64_t n_bits = header[0];
   const uint32_t format = static_cast<uint32_t>(header[1] >> 32);
   const uint32_t n_hashes = static_cast<uint32_t>(header[1]);
-  if (format > kBlockedFormat) return false;  // from a future version
-  const bool blocked = format == kBlockedFormat;
   // The constructor only produces n_bits == 0 (default-constructed, never
-  // probed), >= 64 unblocked, or a whole number of blocks; anything else
-  // is corruption.
-  if (blocked && (n_bits < kBlockBits || n_bits % kBlockBits != 0)) {
-    return false;
-  }
-  if (!blocked && n_bits != 0 && n_bits < 64) return false;
-  uint64_t n_words = (n_bits + 63) / 64;
+  // probed) or a whole number of blocks; anything else is corruption. A
+  // filter with bits must carry the blocked tag: tag 0 was the retired
+  // unblocked layout, whose probes address a different bit pattern. An
+  // empty filter has no layout, so it parses under either tag (SSTs from
+  // before the layout was fixed store a trie-only design's empty filter
+  // under tag 0).
+  if (n_bits % kBlockBits != 0) return false;
+  if (format != kBlockedFormat && (format != 0 || n_bits != 0)) return false;
+  if (n_hashes > kMaxHashes) return false;  // the constructor clamps
+  const uint64_t n_words = n_bits / 64;
   if (in->size() < 16 + n_words * 8) return false;
   out->n_bits_ = n_bits;
   out->n_hashes_ = n_hashes;
-  out->blocked_ = blocked;
   out->words_.resize(n_words);
   if (n_words > 0) {
     std::memcpy(out->words_.data(), in->data() + 16, n_words * 8);

@@ -1,21 +1,13 @@
-// A standard Bloom filter (Bloom 1970), the probabilistic building block
-// of 1PBF, 2PBF, Proteus, and Rosetta.
+// A cache-line-blocked Bloom filter (Bloom 1970; Putze, Sanders & Singler
+// 2007), the probabilistic building block of 1PBF, 2PBF, Proteus, and
+// Rosetta.
 //
 // Hashing follows the paper's setup (Section 4.3): MurmurHash3 for integer
 // keys, CLHASH-style hashing for strings, with k = ceil(m/n * ln 2) hash
-// functions capped at 32 (footnote 2). Probes use Kirsch–Mitzenmacher
-// double hashing, which preserves the asymptotic FPR of Eq. 6.
-//
-// Two probe layouts share the class:
-//  * standard — each of the k probes addresses the whole bit array: the
-//    textbook FPR, but k random cache lines per query.
-//  * blocked (Putze et al., register-blocked at cache-line granularity) —
-//    h1 picks one 512-bit block and all k probes stay inside it: one
-//    memory access per query, paid for with a slightly higher FPR because
-//    block loads are uneven (TheoreticalFprBlocked quantifies it).
-// The layout is chosen at construction and serialized: unblocked filters
-// keep the original wire format bit-for-bit, blocked filters stamp a
-// format version into the header's high bits so legacy blobs still parse.
+// functions capped at 32 (footnote 2). h1 picks one 512-bit block and all
+// k probes stay inside it (double hashing within the block), so a query
+// costs one memory access. Block loads are uneven, so the FPR is slightly
+// above the textbook Eq. 6; TheoreticalFpr prices that premium.
 
 #ifndef PROTEUS_BLOOM_BLOOM_FILTER_H_
 #define PROTEUS_BLOOM_BLOOM_FILTER_H_
@@ -30,67 +22,44 @@
 
 namespace proteus {
 
-/// Which Bloom probe layout a filter (or an FPR model) assumes.
-enum class BloomProbeMode : uint32_t {
-  kStandard = 0,  // k probes spread over the whole array
-  kBlocked = 1,   // k probes confined to one 512-bit block
-};
-
 class BloomFilter {
  public:
   /// Maximum number of hash functions (paper footnote 2).
   static constexpr uint32_t kMaxHashes = 32;
-  /// Cache-line block width for the blocked layout.
+  /// Cache-line block width.
   static constexpr uint64_t kBlockBits = 512;
 
   BloomFilter() = default;
 
-  /// A filter of `n_bits` bits using `n_hashes` hash functions. Blocked
-  /// filters round n_bits up to a whole number of 512-bit blocks.
-  BloomFilter(uint64_t n_bits, uint32_t n_hashes, bool blocked = false);
+  /// A filter of `n_bits` bits, rounded up to a whole number of 512-bit
+  /// blocks (at least one), using `n_hashes` hash functions.
+  BloomFilter(uint64_t n_bits, uint32_t n_hashes);
 
   /// k = ceil(m/n * ln 2), clamped to [1, kMaxHashes].
   static uint32_t OptimalHashes(uint64_t m_bits, uint64_t n_items);
 
-  /// Theoretical FPR of Eq. 6: (1 - e^{-ln 2})^k with k as above.
+  /// Theoretical FPR with k as above: the Eq. 6 form evaluated per block
+  /// and averaged over the Poisson-distributed block load (Putze, Sanders
+  /// & Singler 2007).
   static double TheoreticalFpr(uint64_t m_bits, uint64_t n_items);
-
-  /// Theoretical FPR of the blocked layout: the Eq. 6 form evaluated per
-  /// block and averaged over the Poisson-distributed block load
-  /// (Putze, Sanders & Singler 2007).
-  static double TheoreticalFprBlocked(uint64_t m_bits, uint64_t n_items);
-
-  /// Eq. 6 under the given probe layout.
-  static double TheoreticalFpr(uint64_t m_bits, uint64_t n_items,
-                               BloomProbeMode mode) {
-    return mode == BloomProbeMode::kBlocked
-               ? TheoreticalFprBlocked(m_bits, n_items)
-               : TheoreticalFpr(m_bits, n_items);
-  }
 
   // --- Generic probe API over a pre-hashed (h1, h2) pair. ---
   void InsertHash(uint64_t h1, uint64_t h2);
   bool MayContainHash(uint64_t h1, uint64_t h2) const;
 
   /// Batch probe: out[i] = MayContainHash(h1[i], h2[i]) != 0 for i < n.
-  /// Blocked filters dispatch to an AVX2 gather kernel that resolves 8
-  /// queries per instruction stream (see util/simd.h for the switchery);
-  /// the standard layout and non-AVX2 machines take a pipelined scalar
-  /// loop that prefetches one query ahead. Both paths return identical
-  /// bits for identical inputs.
+  /// Dispatches to an AVX2 gather kernel that resolves 8 queries per
+  /// instruction stream (see util/simd.h for the switchery); non-AVX2
+  /// machines take a pipelined scalar loop that prefetches one query
+  /// ahead. Both paths return identical bits for identical inputs.
   void MultiContainHash(const uint64_t* h1, const uint64_t* h2, size_t n,
                         uint8_t* out) const;
 
-  /// Issues a prefetch for the cache line the probe for h1 will touch
-  /// first. Cheap enough to call speculatively one probe ahead.
+  /// Issues a prefetch for the cache line the probe for h1 will touch.
+  /// Cheap enough to call speculatively one probe ahead.
   void PrefetchHash(uint64_t h1) const {
     if (words_.empty()) return;
-    if (blocked_) {
-      __builtin_prefetch(words_.data() + BlockIndex(h1) * 8);
-    } else {
-      // First probe's line only; later probes are data-dependent anyway.
-      __builtin_prefetch(words_.data() + ((h1 % n_bits_) >> 6));
-    }
+    __builtin_prefetch(words_.data() + BlockIndex(h1) * 8);
   }
 
   // --- Integer items (hashed with MurmurHash3). ---
@@ -129,26 +98,22 @@ class BloomFilter {
 
   uint64_t n_bits() const { return n_bits_; }
   uint32_t n_hashes() const { return n_hashes_; }
-  bool blocked() const { return blocked_; }
   bool empty() const { return n_bits_ == 0; }
 
   /// Total memory in bits (bit array; metadata is O(1)).
   uint64_t SizeBits() const { return words_.size() * 64; }
 
-  /// Serialization for SST filter blocks. Unblocked filters emit the
-  /// legacy format unchanged; blocked filters stamp kBlockedFormat into
-  /// the unused high half of the hash-count header word.
+  /// Serialization for SST filter blocks: header {n_bits, kBlockedFormat
+  /// << 32 | n_hashes}, then the bit array. ParseFrom rejects a non-empty
+  /// filter under any other tag, including 0 (the retired unblocked
+  /// layout).
   void AppendTo(std::string* out) const;
   static bool ParseFrom(std::string_view* in, BloomFilter* out);
 
  private:
-  /// Wire-format tag in the high 32 bits of header word 1. Legacy blobs
-  /// (n_hashes <= 32 stored as a u64) always read 0 there.
+  /// Wire-format tag in the high 32 bits of header word 1.
   static constexpr uint32_t kBlockedFormat = 1;
 
-  uint64_t BitIndex(uint64_t h1, uint64_t h2, uint32_t i) const {
-    return (h1 + i * h2) % n_bits_;
-  }
   /// Multiply-shift range reduction of h1 onto [0, n_blocks).
   uint64_t BlockIndex(uint64_t h1) const {
     return static_cast<uint64_t>(
@@ -157,7 +122,6 @@ class BloomFilter {
 
   uint64_t n_bits_ = 0;
   uint32_t n_hashes_ = 0;
-  bool blocked_ = false;
   std::vector<uint64_t> words_;
 };
 

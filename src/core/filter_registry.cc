@@ -40,7 +40,7 @@ FilterRegistry::FilterRegistry() {
   FilterFamily proteus;
   proteus.name = "proteus";
   proteus.family_id = ProteusFilter::kFamilyId;
-  proteus.help = "bpk=12,blocked=0|1 | trie=L1,bloom=L2 (forced)";
+  proteus.help = "bpk=12 | trie=L1,bloom=L2 (forced)";
   proteus.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(ProteusFilter::BuildFromSpec(spec, builder, error));
@@ -54,7 +54,7 @@ FilterRegistry::FilterRegistry() {
   one_pbf.name = "onepbf";
   one_pbf.aliases = {"1pbf"};
   one_pbf.family_id = OnePbfFilter::kFamilyId;
-  one_pbf.help = "bpk=12,blocked=0|1 | prefix=L (forced)";
+  one_pbf.help = "bpk=12 | prefix=L (forced)";
   one_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(OnePbfFilter::BuildFromSpec(spec, builder, error));
@@ -68,7 +68,7 @@ FilterRegistry::FilterRegistry() {
   two_pbf.name = "twopbf";
   two_pbf.aliases = {"2pbf"};
   two_pbf.family_id = TwoPbfFilter::kFamilyId;
-  two_pbf.help = "bpk=12,blocked=0|1 | l1=L1,l2=L2,frac1=F (forced)";
+  two_pbf.help = "bpk=12 | l1=L1,l2=L2,frac1=F (forced)";
   two_pbf.build_int = [](const FilterSpec& spec, FilterBuilder& builder,
                          std::string* error) {
     return AsInt(TwoPbfFilter::BuildFromSpec(spec, builder, error));
@@ -121,8 +121,7 @@ FilterRegistry::FilterRegistry() {
   proteus_str.name = "proteus-str";
   proteus_str.family_id = ProteusStrFilter::kFamilyId;
   proteus_str.help =
-      "bpk=12,max_key_bits=B,stride=S,trie_grid=G,blocked=0|1 | "
-      "trie=L1,bloom=L2";
+      "bpk=12,max_key_bits=B,stride=S,trie_grid=G | trie=L1,bloom=L2";
   proteus_str.build_str = [](const FilterSpec& spec, StrFilterBuilder& builder,
                              std::string* error) {
     return AsStr(ProteusStrFilter::BuildFromSpec(spec, builder, error));

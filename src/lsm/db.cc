@@ -39,6 +39,9 @@ class EntrySource {
 namespace {
 
 constexpr size_t kMaxLevels = 8;
+// Levels >= this are compressed (the paper leaves L0/L1 raw and compresses
+// deeper levels; Section 6.1).
+constexpr int kCompressMinLevel = 2;
 
 // MANIFEST delta log (byte-accurate spec in docs/FORMAT.md): a sequence
 // of CRC32C-framed records. The first record is always a full snapshot
@@ -1075,7 +1078,7 @@ Status Db::WriteSstFiles(EntrySource& entries, int target_level,
                          size_t max_data_bytes, std::vector<FilePtr>* out) {
   SstWriter::Options wopts;
   wopts.block_size = options_.block_size;
-  wopts.compress = target_level >= options_.compress_min_level;
+  wopts.compress = target_level >= kCompressMinLevel;
   while (entries.Valid()) {
     std::string path =
         options_.dir + "/" + std::to_string(next_file_id_) + ".sst";

@@ -146,9 +146,6 @@ struct DbOptions {
   int l0_compaction_trigger = 4;
   uint64_t l1_size_bytes = 64u << 20;
   double level_size_multiplier = 10.0;
-  /// Levels >= this are compressed (the paper leaves L0/L1 raw and
-  /// compresses deeper levels; Section 6.1).
-  int compress_min_level = 2;
   /// Write-ahead logging. With use_wal off, durability regresses to the
   /// pre-WAL contract (clean close is lossless, kill -9 loses the
   /// memtable). wal_sync=false acknowledges after the OS write but

@@ -18,26 +18,24 @@ constexpr double kStepBpk = 0.125;
 // smoothed — and strictly positive — derivative.
 constexpr double kGainSpanBpk = 1.0;
 
-double LevelFpr(const LevelLoad& level, double bpk, BloomProbeMode mode) {
+double LevelFpr(const LevelLoad& level, double bpk) {
   const auto m_bits = static_cast<uint64_t>(
       std::llround(bpk * static_cast<double>(level.keys)));
-  return level.probe_weight * CpfprModel::BloomFpr(m_bits, level.keys, mode);
+  return level.probe_weight * CpfprModel::BloomFpr(m_bits, level.keys);
 }
 
 /// Expected false-positive probes removed per bit when raising this
 /// level's allocation from `bpk`.
-double MarginalGain(const LevelLoad& level, double bpk,
-                    BloomProbeMode mode) {
+double MarginalGain(const LevelLoad& level, double bpk) {
   const double drop =
-      LevelFpr(level, bpk, mode) - LevelFpr(level, bpk + kGainSpanBpk, mode);
+      LevelFpr(level, bpk) - LevelFpr(level, bpk + kGainSpanBpk);
   return drop / (static_cast<double>(level.keys) * kGainSpanBpk);
 }
 
 }  // namespace
 
 std::vector<double> MonkeyBpkSplit(double global_bpk,
-                                   const std::vector<LevelLoad>& levels,
-                                   BloomProbeMode mode) {
+                                   const std::vector<LevelLoad>& levels) {
   std::vector<double> out(levels.size(), global_bpk);
   if (global_bpk <= kMinBpk) return out;  // no room below the floor
 
@@ -68,7 +66,7 @@ std::vector<double> MonkeyBpkSplit(double global_bpk,
       if (out[i] + kStepBpk > max_bpk) continue;
       const double cost = static_cast<double>(levels[i].keys) * kStepBpk;
       if (cost > remaining) continue;
-      const double gain = MarginalGain(levels[i], out[i], mode);
+      const double gain = MarginalGain(levels[i], out[i]);
       if (best == levels.size() || gain > best_gain) {
         best = i;
         best_gain = gain;
@@ -86,7 +84,7 @@ std::vector<double> MonkeyBpkSplit(double global_bpk,
     double best_gain = -1.0;
     for (size_t i : live) {
       if (out[i] >= max_bpk) continue;
-      const double gain = MarginalGain(levels[i], out[i], mode);
+      const double gain = MarginalGain(levels[i], out[i]);
       if (gain > best_gain) {
         best = i;
         best_gain = gain;

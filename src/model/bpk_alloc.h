@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "bloom/bloom_filter.h"
 
 namespace proteus {
 
@@ -41,9 +40,8 @@ struct LevelLoad {
 /// budget and no filter). Per-level results are clamped to
 /// [1, max(2 * global_bpk, global_bpk + 8)]. A non-positive `global_bpk`
 /// or an all-empty shape returns `global_bpk` everywhere.
-std::vector<double> MonkeyBpkSplit(
-    double global_bpk, const std::vector<LevelLoad>& levels,
-    BloomProbeMode mode = BloomProbeMode::kStandard);
+std::vector<double> MonkeyBpkSplit(double global_bpk,
+                                   const std::vector<LevelLoad>& levels);
 
 }  // namespace proteus
 

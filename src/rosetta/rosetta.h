@@ -40,21 +40,17 @@ class RosettaFilter : public RangeFilter {
   struct Config {
     uint32_t min_level = 64;                // top used level
     std::vector<double> level_weights;      // index 0 = min_level ... 64
-    bool blocked_bloom = false;             // cache-line-blocked probe layout
   };
 
-  /// Registry/FilterBuilder hook. Spec parameters: bpk (default 12);
-  /// blocked=0|1 selects cache-line-blocked Bloom probes (default 1).
+  /// Registry/FilterBuilder hook. Spec parameter: bpk (default 12).
   static std::unique_ptr<RosettaFilter> BuildFromSpec(const FilterSpec& spec,
                                                       FilterBuilder& builder,
                                                       std::string* error);
 
-  /// Self-configuring build from sample queries (the paper's setup). The
-  /// profile estimator uses the FPR formula matching the probe layout.
+  /// Self-configuring build from sample queries (the paper's setup).
   static std::unique_ptr<RosettaFilter> BuildSelfConfigured(
       const std::vector<uint64_t>& sorted_keys,
-      const std::vector<RangeQuery>& sample_queries, double bits_per_key,
-      bool blocked_bloom = false);
+      const std::vector<RangeQuery>& sample_queries, double bits_per_key);
 
   /// Forced configuration (tests / ablations).
   static std::unique_ptr<RosettaFilter> BuildWithConfig(

@@ -1,10 +1,12 @@
 // Tests for BloomFilter and the prefix Bloom filters: no false negatives,
-// FPR close to Eq. 6, serialization round-trip, range probing semantics,
-// and |K_l| prefix counting.
+// FPR close to the blocked form of Eq. 6, serialization round-trip, range
+// probing semantics, and |K_l| prefix counting.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,33 +30,9 @@ TEST(BloomFilter, NoFalseNegativesInt) {
   auto keys = RandomSortedKeys(5000, 1);
   BloomFilter bf(keys.size() * 10, BloomFilter::OptimalHashes(keys.size() * 10,
                                                               keys.size()));
+  EXPECT_EQ(bf.n_bits() % BloomFilter::kBlockBits, 0u);
   for (uint64_t k : keys) bf.InsertInt(k);
   for (uint64_t k : keys) EXPECT_TRUE(bf.MayContainInt(k));
-}
-
-TEST(BloomFilter, FprMatchesTheory) {
-  auto keys = RandomSortedKeys(20000, 2);
-  std::set<uint64_t> keyset(keys.begin(), keys.end());
-  for (uint64_t bpk : {8, 12, 16}) {
-    uint64_t m = keys.size() * bpk;
-    BloomFilter bf(m, BloomFilter::OptimalHashes(m, keys.size()));
-    for (uint64_t k : keys) bf.InsertInt(k);
-    Rng rng(3);
-    int fp = 0;
-    int probes = 200000;
-    for (int i = 0; i < probes; ++i) {
-      uint64_t q = rng.Next();
-      if (keyset.count(q)) {
-        --i;
-        continue;
-      }
-      if (bf.MayContainInt(q)) ++fp;
-    }
-    double observed = static_cast<double>(fp) / probes;
-    double expected = BloomFilter::TheoreticalFpr(m, keys.size());
-    EXPECT_NEAR(observed, expected, expected * 0.5 + 0.002)
-        << "bpk=" << bpk;
-  }
 }
 
 TEST(BloomFilter, StringItems) {
@@ -77,6 +55,11 @@ TEST(BloomFilter, SerializationRoundTrip) {
   EXPECT_EQ(parsed.n_bits(), bf.n_bits());
   EXPECT_EQ(parsed.n_hashes(), bf.n_hashes());
   for (uint64_t k : keys) EXPECT_TRUE(parsed.MayContainInt(k));
+  Rng rng(15);
+  for (int i = 0; i < 2000; ++i) {
+    uint64_t q = rng.Next();
+    EXPECT_EQ(parsed.MayContainInt(q), bf.MayContainInt(q));
+  }
 }
 
 TEST(BloomFilter, ParseRejectsTruncated) {
@@ -90,21 +73,43 @@ TEST(BloomFilter, ParseRejectsTruncated) {
   }
 }
 
+TEST(BloomFilter, ParseChecksTagAndHashCount) {
+  BloomFilter bf(8192, 5);
+  std::string blob;
+  bf.AppendTo(&blob);
+  uint64_t header[2];
+  std::memcpy(header, blob.data(), sizeof(header));
+  EXPECT_EQ(header[1] >> 32, 1u);
+  EXPECT_EQ(static_cast<uint32_t>(header[1]), 5u);
+  // Tag 0 (the retired unblocked layout), a future tag, and a hash count
+  // the constructor could not have produced are all rejected.
+  for (uint64_t word1 : {uint64_t{5}, uint64_t{2} << 32 | 5,
+                         uint64_t{1} << 32 | (BloomFilter::kMaxHashes + 1)}) {
+    std::string bad = blob;
+    std::memcpy(bad.data() + 8, &word1, sizeof(word1));
+    std::string_view view = bad;
+    BloomFilter parsed;
+    EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed)) << word1;
+  }
+  // A default-constructed filter has no bits and no layout: it round-trips,
+  // and parses under tag 0 too.
+  std::string empty_blob;
+  BloomFilter().AppendTo(&empty_blob);
+  for (uint64_t tag : {uint64_t{1}, uint64_t{0}}) {
+    const uint64_t word1 = tag << 32;
+    std::memcpy(empty_blob.data() + 8, &word1, sizeof(word1));
+    std::string_view view = empty_blob;
+    BloomFilter parsed;
+    ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed)) << tag;
+    EXPECT_TRUE(parsed.empty());
+    EXPECT_TRUE(parsed.MayContainInt(42));
+  }
+}
+
 TEST(BloomFilter, OptimalHashesCap) {
   EXPECT_EQ(BloomFilter::OptimalHashes(1 << 20, 10), 32u);  // capped
   EXPECT_EQ(BloomFilter::OptimalHashes(1000, 1000), 1u);
   EXPECT_EQ(BloomFilter::OptimalHashes(10000, 1000), 7u);  // ceil(10*ln2)=7
-}
-
-TEST(BlockedBloomFilter, NoFalseNegatives) {
-  auto keys = RandomSortedKeys(5000, 11);
-  BloomFilter bf(keys.size() * 10,
-                 BloomFilter::OptimalHashes(keys.size() * 10, keys.size()),
-                 /*blocked=*/true);
-  EXPECT_TRUE(bf.blocked());
-  EXPECT_EQ(bf.n_bits() % BloomFilter::kBlockBits, 0u);
-  for (uint64_t k : keys) bf.InsertInt(k);
-  for (uint64_t k : keys) EXPECT_TRUE(bf.MayContainInt(k));
 }
 
 TEST(BlockedBloomFilter, FprMatchesBlockedTheory) {
@@ -112,8 +117,8 @@ TEST(BlockedBloomFilter, FprMatchesBlockedTheory) {
   std::set<uint64_t> keyset(keys.begin(), keys.end());
   for (uint64_t bpk : {8, 12, 16}) {
     uint64_t m = keys.size() * bpk;
-    BloomFilter bf(m, BloomFilter::OptimalHashes(m, keys.size()),
-                   /*blocked=*/true);
+    const uint32_t n_hashes = BloomFilter::OptimalHashes(m, keys.size());
+    BloomFilter bf(m, n_hashes);
     for (uint64_t k : keys) bf.InsertInt(k);
     Rng rng(13);
     int fp = 0;
@@ -127,69 +132,31 @@ TEST(BlockedBloomFilter, FprMatchesBlockedTheory) {
       if (bf.MayContainInt(q)) ++fp;
     }
     double observed = static_cast<double>(fp) / probes;
-    double standard = BloomFilter::TheoreticalFpr(m, keys.size());
-    double blocked = BloomFilter::TheoreticalFprBlocked(m, keys.size());
-    // The blocked layout pays a real FPR premium over the standard layout,
-    // and the Poisson-mixture model must price it accurately.
-    EXPECT_GT(blocked, standard) << "bpk=" << bpk;
+    // Textbook Eq. 6, as if the k probes spanned the whole array.
+    double unblocked = std::pow(
+        1.0 - std::exp(-static_cast<double>(n_hashes * keys.size()) / m),
+        n_hashes);
+    double blocked = BloomFilter::TheoreticalFpr(m, keys.size());
+    // Blocking pays a real FPR premium over the textbook formula, and the
+    // Poisson-mixture model must price it accurately.
+    EXPECT_GT(blocked, unblocked) << "bpk=" << bpk;
     EXPECT_NEAR(observed, blocked, blocked * 0.35 + 0.002) << "bpk=" << bpk;
   }
 }
 
-TEST(BlockedBloomFilter, SerializationRoundTrip) {
-  auto keys = RandomSortedKeys(1000, 14);
-  BloomFilter bf(16384, 6, /*blocked=*/true);
-  for (uint64_t k : keys) bf.InsertInt(k);
-  std::string blob;
-  bf.AppendTo(&blob);
-  std::string_view view = blob;
-  BloomFilter parsed;
-  ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_TRUE(view.empty());
-  EXPECT_TRUE(parsed.blocked());
-  EXPECT_EQ(parsed.n_bits(), bf.n_bits());
-  EXPECT_EQ(parsed.n_hashes(), bf.n_hashes());
-  for (uint64_t k : keys) EXPECT_TRUE(parsed.MayContainInt(k));
-  Rng rng(15);
-  for (int i = 0; i < 2000; ++i) {
-    uint64_t q = rng.Next();
-    EXPECT_EQ(parsed.MayContainInt(q), bf.MayContainInt(q));
-  }
-}
-
-TEST(BlockedPrefixBloom, RangeSemanticsMatchUnblocked) {
-  // Blocked probing changes the FPR constant, never the contract: any
-  // range containing a key stays positive.
-  auto keys = RandomSortedKeys(2000, 16);
-  for (uint32_t l : {16u, 40u, 64u}) {
-    PrefixBloom pb(keys, keys.size() * 12, l, /*blocked=*/true);
-    for (uint64_t k : keys) {
-      EXPECT_TRUE(pb.MayContain(k, k)) << "l=" << l;
-      uint64_t lo = k == 0 ? 0 : k - 1;
-      uint64_t hi = k == ~uint64_t{0} ? k : k + 1;
-      EXPECT_TRUE(pb.MayContain(lo, hi)) << "l=" << l;
-    }
-  }
-  std::vector<std::string> skeys = {"apple", "banana", "cherry"};
-  StrPrefixBloom spb(skeys, 1 << 14, 24, /*blocked=*/true);
-  for (const auto& k : skeys) EXPECT_TRUE(spb.MayContain(k, k)) << k;
-}
-
 TEST(PrefixBloom, ProbeRangeMatchesPerPrefixProbes) {
   auto keys = RandomSortedKeys(3000, 17);
-  for (bool blocked : {false, true}) {
-    PrefixBloom pb(keys, keys.size() * 12, 52, blocked);
-    Rng rng(18);
-    for (int i = 0; i < 3000; ++i) {
-      uint64_t first = rng.Next() >> 12;
-      uint64_t last = first + rng.NextBelow(40);
-      bool expected = false;
-      for (uint64_t p = first; p <= last && !expected; ++p) {
-        expected = pb.ProbePrefix(p);
-      }
-      ASSERT_EQ(pb.ProbeRange(first, last), expected)
-          << "blocked=" << blocked << " [" << first << "," << last << "]";
+  PrefixBloom pb(keys, keys.size() * 12, 52);
+  Rng rng(18);
+  for (int i = 0; i < 3000; ++i) {
+    uint64_t first = rng.Next() >> 12;
+    uint64_t last = first + rng.NextBelow(40);
+    bool expected = false;
+    for (uint64_t p = first; p <= last && !expected; ++p) {
+      expected = pb.ProbePrefix(p);
     }
+    ASSERT_EQ(pb.ProbeRange(first, last), expected)
+        << "[" << first << "," << last << "]";
   }
 }
 

@@ -215,6 +215,18 @@ TEST(MonkeyBpkSplitTest, SmallProbedLevelsGetRicherFilters) {
   EXPECT_GT(split[0], split[1]);
 }
 
+TEST(MonkeyBpkSplitTest, PricesTheBlockedLayout) {
+  // An L0 x2 / L1 / L2 shape of 20k / 200k / 2M keys at 14 bpk, split
+  // under the blocked Bloom FPR curve the LSM's filters follow. (The
+  // textbook whole-array curve would give 25.25 / 19.12 / 13.38.)
+  auto split =
+      MonkeyBpkSplit(14.0, {{20000, 2.0}, {200000, 1.0}, {2000000, 1.0}});
+  ASSERT_EQ(split.size(), 3u);
+  EXPECT_NEAR(split[0], 28.00, 0.01);
+  EXPECT_NEAR(split[1], 18.75, 0.01);
+  EXPECT_NEAR(split[2], 13.38, 0.01);
+}
+
 TEST(MonkeyBpkSplitTest, DegenerateInputsFallBackToGlobal) {
   std::vector<LevelLoad> all_empty = {{0, 1.0}, {0, 1.0}};
   for (double b : MonkeyBpkSplit(14.0, all_empty)) EXPECT_DOUBLE_EQ(b, 14.0);

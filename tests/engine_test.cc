@@ -131,7 +131,7 @@ TEST(MultiSeekTest, MatchesSeekWithoutFilters) {
 
 TEST(MultiSeekTest, MatchesSeekWithFilters) {
   auto options = SmallDbOptions("filtered");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   Rng rng(22);
@@ -141,7 +141,7 @@ TEST(MultiSeekTest, MatchesSeekWithFilters) {
 
 TEST(MultiSeekTest, MatchesSeekAfterCompactionAndReopen) {
   auto options = SmallDbOptions("reopen");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   {
     auto [db, st] = Db::Create(options);
     ASSERT_TRUE(st.ok());
@@ -160,7 +160,7 @@ TEST(MultiSeekTest, MatchesSeekAgainstReferenceMap) {
   // Differential check with a model map, so MultiSeek is validated
   // against ground truth and not just against Seek.
   auto options = SmallDbOptions("refmap");
-  options.filter_policy = MakeProteusIntPolicy(12.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   std::map<std::string, std::string> ref;
@@ -216,7 +216,7 @@ TEST(MultiSeekTest, EmptyAndSingletonBatches) {
 // the deleted key.
 TEST(MultiSeekTest, CountersMatchSequentialSeeks) {
   auto options = SmallDbOptions("counters");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   options.adaptive_redesign = false;
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
@@ -294,7 +294,7 @@ TEST(MultiSeekTest, EmptyQueriesFeedTheSampleQueue) {
 
 TEST(QueryEngineTest, AcceptsOnlySortedAndRunsMultiSeek) {
   auto options = SmallDbOptions("engine");
-  options.filter_policy = MakeProteusIntPolicy(14.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=14");
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());
   Rng rng(26);

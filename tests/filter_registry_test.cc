@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/filter_builder.h"
@@ -205,6 +206,40 @@ TEST(FilterRegistry, BadSpecsFailWithErrors) {
       &error);
   EXPECT_EQ(filter, nullptr);
   EXPECT_NE(error.find("no string-key builder"), std::string::npos);
+}
+
+TEST(FilterRegistry, BloomFamiliesRejectTheRetiredBlockedKey) {
+  // Every Bloom filter is cache-line blocked; the old blocked=0|1 switch
+  // is an unknown parameter for each family that used to take it.
+  auto keys = GenerateKeys(Dataset::kUniform, 500, 60);
+  auto str_keys = GenerateStrKeys(StrDataset::kDomains, 200, 0, 61);
+  FilterBuilder builder(keys);
+  builder.Sample(GenerateQueries(keys, QuerySpec(), 100, 62));
+  StrFilterBuilder str_builder(str_keys);
+  for (const char* family : {"proteus", "onepbf", "twopbf", "rosetta",
+                             "bloom", "proteus-str", "bloom-str"}) {
+    const bool str = std::string_view(family).ends_with("-str");
+    for (const char* value : {"0", "1"}) {
+      const std::string spec =
+          std::string(family) + ":bpk=12,blocked=" + value;
+      std::string error;
+      const bool built = str ? str_builder.Build(spec, &error) != nullptr
+                             : builder.Build(spec, &error) != nullptr;
+      EXPECT_FALSE(built) << spec;
+      EXPECT_NE(error.find("unknown parameter \"blocked\""),
+                std::string::npos)
+          << spec << " -> " << error;
+      Status status;
+      EXPECT_EQ(MakeFilterPolicy(spec, &status), nullptr) << spec;
+      EXPECT_TRUE(status.IsInvalidArgument()) << spec;
+    }
+    // The same family without the key still builds.
+    const std::string plain = std::string(family) + ":bpk=12";
+    std::string error;
+    const bool built = str ? str_builder.Build(plain, &error) != nullptr
+                           : builder.Build(plain, &error) != nullptr;
+    EXPECT_TRUE(built) << plain << ": " << error;
+  }
 }
 
 TEST(FilterRegistry, ForcedConfigurationsAreHonored) {

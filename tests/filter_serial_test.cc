@@ -87,12 +87,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("proteus:bpk=14", "proteus:trie=16,bloom=48",
                       "proteus:bpk=12,trie=20,bloom=0", "onepbf:bpk=12",
                       "twopbf:bpk=12", "twopbf:l1=12,l2=40,frac1=0.4",
-                      "rosetta:bpk=14", "rosetta:bpk=14,blocked=0",
-                      "surf:mode=base", "surf:mode=real,suffix=8",
-                      "surf:mode=hash,suffix=4", "bloom:bpk=12",
-                      "proteus:bpk=14,blocked=0", "proteus:bpk=14,blocked=1",
-                      "onepbf:bpk=12,blocked=0",
-                      "twopbf:l1=12,l2=40,blocked=1"));
+                      "rosetta:bpk=14", "surf:mode=base",
+                      "surf:mode=real,suffix=8", "surf:mode=hash,suffix=4",
+                      "bloom:bpk=12", "onepbf:prefix=56",
+                      "twopbf:l1=12,l2=40", "twopbf:l1=16,l2=48"));
 
 class StrRoundTripTest : public ::testing::TestWithParam<const char*> {};
 
@@ -233,31 +231,34 @@ TEST(FilterSerial, CorruptBlobsFailCleanly) {
   EXPECT_NE(error.find("family"), std::string::npos);
 }
 
-TEST(FilterSerial, UnblockedBloomKeepsLegacyWireFormat) {
-  // An unblocked BloomFilter must serialize byte-for-byte in the original
-  // {u64 n_bits, u64 n_hashes, words...} layout, so blobs written before
-  // the blocked layout existed stay bit-identical and loadable.
-  BloomFilter bf(8192, 5, /*blocked=*/false);
-  bf.InsertInt(42);
+TEST(FilterSerial, UnblockedBloomBlobIsRejected) {
+  // Tag 0 in the high half of the Bloom header's hash-count word marks
+  // the retired unblocked layout, whose bits a blocked probe would misread.
+  // Such a blob must fail Filter::Deserialize cleanly, with an error.
+  auto keys = GenerateKeys(Dataset::kNormal, 2000, 76);
+  auto filter = FilterRegistry::Global().Create("bloom:bpk=12", keys);
+  ASSERT_NE(filter, nullptr);
   std::string blob;
-  bf.AppendTo(&blob);
-  ASSERT_GE(blob.size(), 16u);
-  uint64_t header[2];
-  std::memcpy(header, blob.data(), 16);
-  EXPECT_EQ(header[0], bf.n_bits());
-  EXPECT_EQ(header[1], uint64_t{5});  // high 32 bits zero: legacy format
+  filter->Serialize(&blob);
+  // Envelope: magic u32 | version u32 | family u32, then the Bloom blob:
+  // n_bits u64 | tag u32 << 32 | n_hashes u32 | words.
+  constexpr size_t kTagOffset = 12 + 8 + 4;
+  ASSERT_GT(blob.size(), kTagOffset + 4);
+  uint32_t tag;
+  std::memcpy(&tag, blob.data() + kTagOffset, sizeof(tag));
+  ASSERT_EQ(tag, 1u);
+  std::string error;
+  ASSERT_NE(Filter::Deserialize(blob, &error), nullptr) << error;
 
-  // A hand-built legacy blob (as an old writer would have produced it)
-  // parses into an unblocked filter.
-  std::string_view view = blob;
-  BloomFilter parsed;
-  ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_FALSE(parsed.blocked());
-  EXPECT_TRUE(parsed.MayContainInt(42));
+  std::string legacy = blob;
+  std::memset(legacy.data() + kTagOffset, 0, 4);
+  error.clear();
+  EXPECT_EQ(Filter::Deserialize(legacy, &error), nullptr);
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
-  BloomFilter bf(8192, 5, /*blocked=*/true);
+  BloomFilter bf(8192, 5);
   bf.InsertInt(43);
   std::string blob;
   bf.AppendTo(&blob);
@@ -268,7 +269,6 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
   std::string_view view = blob;
   BloomFilter parsed;
   ASSERT_TRUE(BloomFilter::ParseFrom(&view, &parsed));
-  EXPECT_TRUE(parsed.blocked());
   EXPECT_TRUE(parsed.MayContainInt(43));
   EXPECT_FALSE(parsed.MayContainInt(44444));
 
@@ -277,25 +277,6 @@ TEST(FilterSerial, BlockedBloomCarriesVersionedFormat) {
   future[12] = '\x7F';  // high half of header word 1
   view = future;
   EXPECT_FALSE(BloomFilter::ParseFrom(&view, &parsed));
-}
-
-TEST(FilterSerial, BlockedAndUnblockedFiltersRoundTripThroughRegistry) {
-  auto keys = GenerateKeys(Dataset::kNormal, 3000, 75);
-  for (const char* spec :
-       {"proteus:trie=16,bloom=48,blocked=1",
-        "proteus:trie=16,bloom=48,blocked=0", "onepbf:prefix=56,blocked=1",
-        "twopbf:l1=16,l2=48,blocked=1"}) {
-    auto filter = FilterRegistry::Global().Create(spec, keys);
-    ASSERT_NE(filter, nullptr) << spec;
-    std::string blob;
-    filter->Serialize(&blob);
-    std::string error;
-    auto restored = Filter::Deserialize(blob, &error);
-    ASSERT_NE(restored, nullptr) << spec << ": " << error;
-    std::string blob2;
-    restored->Serialize(&blob2);
-    EXPECT_EQ(blob, blob2) << spec;
-  }
 }
 
 TEST(FilterSerial, HugeWireCountsAreRejectedNotAllocated) {

@@ -27,7 +27,6 @@ DbOptions SmallDbOptions(const std::string& name) {
   options.l0_compaction_trigger = 3;
   options.l1_size_bytes = 256 << 10;
   options.level_size_multiplier = 4.0;
-  options.compress_min_level = 2;
   return options;
 }
 
@@ -133,7 +132,7 @@ TEST(DbTest, FiltersCutSstProbes) {
   };
 
   DbStats no_filter = run(nullptr, "none");
-  DbStats with_filter = run(MakeProteusIntPolicy(14.0), "proteus");
+  DbStats with_filter = run(MakeFilterPolicy("proteus:bpk=14"), "proteus");
   EXPECT_EQ(no_filter.sst_seeks, no_filter.filter_checks);
   EXPECT_LT(with_filter.sst_seeks, no_filter.sst_seeks / 5)
       << "filtered=" << with_filter.sst_seeks
@@ -143,12 +142,10 @@ TEST(DbTest, FiltersCutSstProbes) {
 TEST(DbTest, NoFalseNegativesThroughFilters) {
   // Seeks for present keys must always find them, whatever the policy.
   auto keys = GenerateKeys(Dataset::kNormal, 5000, 15);
-  for (auto make : {+[]() { return MakeProteusIntPolicy(12.0); },
-                    +[]() { return MakeSurfIntPolicy(1, 4); },
-                    +[]() { return MakeRosettaIntPolicy(12.0); },
-                    +[]() { return MakeBloomFilterPolicy(12.0); }}) {
+  for (const char* spec : {"proteus:bpk=12", "surf:mode=real,suffix=4",
+                           "rosetta:bpk=12", "bloom-str:bpk=12"}) {
     auto options = SmallDbOptions("nofn");
-    options.filter_policy = make();
+    options.filter_policy = MakeFilterPolicy(spec);
     auto [db, st] = Db::Create(options);
     ASSERT_TRUE(st.ok());
     std::string value(32, 'v');
@@ -166,7 +163,7 @@ TEST(DbTest, NoFalseNegativesThroughFilters) {
 
 TEST(DbTest, QueryQueueFeedsFilterConstruction) {
   auto options = SmallDbOptions("queue");
-  options.filter_policy = MakeProteusIntPolicy(12.0);
+  options.filter_policy = MakeFilterPolicy("proteus:bpk=12");
   options.queue_options.sample_rate = 1;  // record every empty query
   auto [db, st] = Db::Create(options);
   ASSERT_TRUE(st.ok());

@@ -3,7 +3,7 @@
 // reference path, across batch sizes that are not lane multiples (n = 0,
 // 1, 7, 9, 65, ...) and across every filter family's MultiMayContain.
 // Also pins the serialized format: batching is query-side only, so
-// blocked and standard filter blobs must round-trip bit-identically.
+// filter blobs must round-trip bit-identically.
 
 #include <gtest/gtest.h>
 
@@ -52,30 +52,26 @@ TEST(SimdDispatch, ForceScalarSwitchRoundTrips) {
 
 TEST(BloomMultiContainHash, MatchesScalarAndSingleProbe) {
   Rng rng(101);
-  for (bool blocked : {true, false}) {
-    BloomFilter bf(97013, 7, blocked);
-    for (int i = 0; i < 8000; ++i) bf.InsertInt(rng.Next() % 20000);
-    for (size_t n : kBatchSizes) {
-      std::vector<uint64_t> h1(n), h2(n);
-      for (size_t i = 0; i < n; ++i) {
-        BloomFilter::HashInt(rng.Next() % 40000, &h1[i], &h2[i]);
-      }
-      std::vector<uint8_t> scalar(n, 9), simd(n, 9);
-      {
-        ScopedForceScalar fs(true);
-        bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
-      }
-      {
-        ScopedForceScalar fs(false);
-        bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
-        ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " n=" << n
-                                  << " i=" << i;
-        ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " n=" << n
-                                << " i=" << i;
-      }
+  BloomFilter bf(97013, 7);
+  for (int i = 0; i < 8000; ++i) bf.InsertInt(rng.Next() % 20000);
+  for (size_t n : kBatchSizes) {
+    std::vector<uint64_t> h1(n), h2(n);
+    for (size_t i = 0; i < n; ++i) {
+      BloomFilter::HashInt(rng.Next() % 40000, &h1[i], &h2[i]);
+    }
+    std::vector<uint8_t> scalar(n, 9), simd(n, 9);
+    {
+      ScopedForceScalar fs(true);
+      bf.MultiContainHash(h1.data(), h2.data(), n, scalar.data());
+    }
+    {
+      ScopedForceScalar fs(false);
+      bf.MultiContainHash(h1.data(), h2.data(), n, simd.data());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t ref = bf.MayContainHash(h1[i], h2[i]) ? 1 : 0;
+      ASSERT_EQ(scalar[i], ref) << "n=" << n << " i=" << i;
+      ASSERT_EQ(simd[i], ref) << "n=" << n << " i=" << i;
     }
   }
 }
@@ -173,63 +169,51 @@ TEST(MultiMayContain, AllIntFamiliesMatchSingleQuery) {
   auto keys = TestKeys(103);
   std::vector<uint64_t> lo, hi;
   TestQueries(104, 200, &lo, &hi);
-  for (bool blocked : {true, false}) {
-    SCOPED_TRACE(blocked ? "blocked" : "standard");
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {0, 48}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *ProteusFilter::BuildWithConfig(keys, {20, 0}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(
-        *OnePbfFilter::BuildWithConfig(keys, 48, 14.0, blocked), lo, hi);
-    ExpectBatchMatchesSingle(
-        *TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0, blocked),
-        lo, hi);
-    ExpectBatchMatchesSingle(
-        *TwoPbfFilter::BuildWithConfig(keys, {0, 48, 0.5}, 14.0, blocked),
-        lo, hi);
-    ExpectBatchMatchesSingle(
-        *RosettaFilter::BuildSelfConfigured(keys, {}, 14.0, blocked), lo,
-        hi);
-    ExpectBatchMatchesSingle(*BloomIntFilter::Build(keys, 14.0, blocked),
-                             lo, hi);
-  }
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {0, 48}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *ProteusFilter::BuildWithConfig(keys, {20, 0}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(*OnePbfFilter::BuildWithConfig(keys, 48, 14.0),
+                           lo, hi);
+  ExpectBatchMatchesSingle(
+      *TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *TwoPbfFilter::BuildWithConfig(keys, {0, 48, 0.5}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(
+      *RosettaFilter::BuildSelfConfigured(keys, {}, 14.0), lo, hi);
+  ExpectBatchMatchesSingle(*BloomIntFilter::Build(keys, 14.0), lo, hi);
 }
 
 TEST(MultiMayContain, StrBloomMatchesSingleQuery) {
   auto keys = GenerateStrKeys(StrDataset::kUniform, 20000, 12, 105);
-  for (bool blocked : {true, false}) {
-    auto filter = BloomStrFilter::Build(keys, 14.0, blocked);
-    Rng rng(106);
-    const size_t total = 200;
-    std::vector<std::string> storage(total);
-    std::vector<std::string_view> lo(total), hi(total);
-    for (size_t i = 0; i < total; ++i) {
-      storage[i] = i % 3 == 0 ? keys[rng.Next() % keys.size()]
-                              : GenerateStrKeys(StrDataset::kUniform, 1, 12,
-                                                rng.Next())[0];
-      lo[i] = storage[i];
-      hi[i] = storage[i];
+  auto filter = BloomStrFilter::Build(keys, 14.0);
+  Rng rng(106);
+  const size_t total = 200;
+  std::vector<std::string> storage(total);
+  std::vector<std::string_view> lo(total), hi(total);
+  for (size_t i = 0; i < total; ++i) {
+    storage[i] = i % 3 == 0 ? keys[rng.Next() % keys.size()]
+                            : GenerateStrKeys(StrDataset::kUniform, 1, 12,
+                                              rng.Next())[0];
+    lo[i] = storage[i];
+    hi[i] = storage[i];
+  }
+  for (size_t n : kBatchSizes) {
+    std::vector<uint8_t> scalar(n, 9), simd(n, 9);
+    {
+      ScopedForceScalar fs(true);
+      filter->MultiMayContain(lo.data(), hi.data(), n, scalar.data());
     }
-    for (size_t n : kBatchSizes) {
-      std::vector<uint8_t> scalar(n, 9), simd(n, 9);
-      {
-        ScopedForceScalar fs(true);
-        filter->MultiMayContain(lo.data(), hi.data(), n, scalar.data());
-      }
-      {
-        ScopedForceScalar fs(false);
-        filter->MultiMayContain(lo.data(), hi.data(), n, simd.data());
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint8_t ref = filter->MayContain(lo[i], hi[i]) ? 1 : 0;
-        ASSERT_EQ(scalar[i], ref) << "blocked=" << blocked << " i=" << i;
-        ASSERT_EQ(simd[i], ref) << "blocked=" << blocked << " i=" << i;
-      }
+    {
+      ScopedForceScalar fs(false);
+      filter->MultiMayContain(lo.data(), hi.data(), n, simd.data());
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t ref = filter->MayContain(lo[i], hi[i]) ? 1 : 0;
+      ASSERT_EQ(scalar[i], ref) << "i=" << i;
+      ASSERT_EQ(simd[i], ref) << "i=" << i;
     }
   }
 }
@@ -240,7 +224,7 @@ TEST(MultiMayContain, StrProteusScalarAndSimdAgree) {
   // agree query by query.
   auto keys = GenerateStrKeys(StrDataset::kUniform, 20000, 12, 107);
   auto filter = ProteusStrFilter::BuildWithConfig(
-      keys, ProteusStrFilter::Config{40, 72, 96}, 14.0, true);
+      keys, ProteusStrFilter::Config{40, 72, 96}, 14.0);
   Rng rng(108);
   for (int i = 0; i < 300; ++i) {
     std::string l = i % 3 == 0
@@ -306,41 +290,37 @@ TEST(MultiSeekGeq, MatchesSeekGeqAndSupportsNext) {
   EXPECT_FALSE(cur.valid());
 }
 
-TEST(SerializedFormat, BlockedAndStandardBlobsRoundTripBitIdentically) {
+TEST(SerializedFormat, BlobsRoundTripBitIdentically) {
   // The SIMD engine is query-side only: serialize -> parse -> serialize
-  // must reproduce the exact bytes for both probe layouts, and the
-  // revived filter must answer identically.
+  // must reproduce the exact bytes, and the revived filter must answer
+  // identically.
   auto keys = TestKeys(111);
   std::vector<uint64_t> lo, hi;
   TestQueries(112, 64, &lo, &hi);
-  for (bool blocked : {true, false}) {
-    std::vector<std::unique_ptr<Filter>> filters;
-    filters.push_back(
-        ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0, blocked));
-    filters.push_back(
-        TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0, blocked));
-    filters.push_back(OnePbfFilter::BuildWithConfig(keys, 48, 14.0, blocked));
-    filters.push_back(RosettaFilter::BuildSelfConfigured(keys, {}, 14.0,
-                                                         blocked));
-    filters.push_back(BloomIntFilter::Build(keys, 14.0, blocked));
-    for (const auto& filter : filters) {
-      std::string blob;
-      filter->Serialize(&blob);
-      std::string error;
-      auto revived = Filter::Deserialize(blob, &error);
-      ASSERT_NE(revived, nullptr) << filter->Name() << ": " << error;
-      std::string blob2;
-      revived->Serialize(&blob2);
-      EXPECT_EQ(blob, blob2) << filter->Name() << " blocked=" << blocked;
-      const auto* rf = dynamic_cast<const RangeFilter*>(revived.get());
-      ASSERT_NE(rf, nullptr);
-      const auto* orig = dynamic_cast<const RangeFilter*>(filter.get());
-      std::vector<uint8_t> got(lo.size());
-      rf->MultiMayContain(lo.data(), hi.data(), lo.size(), got.data());
-      for (size_t i = 0; i < lo.size(); ++i) {
-        ASSERT_EQ(got[i] != 0, orig->MayContain(lo[i], hi[i]))
-            << filter->Name() << " i=" << i;
-      }
+  std::vector<std::unique_ptr<Filter>> filters;
+  filters.push_back(ProteusFilter::BuildWithConfig(keys, {24, 44}, 14.0));
+  filters.push_back(
+      TwoPbfFilter::BuildWithConfig(keys, {20, 44, 0.4}, 14.0));
+  filters.push_back(OnePbfFilter::BuildWithConfig(keys, 48, 14.0));
+  filters.push_back(RosettaFilter::BuildSelfConfigured(keys, {}, 14.0));
+  filters.push_back(BloomIntFilter::Build(keys, 14.0));
+  for (const auto& filter : filters) {
+    std::string blob;
+    filter->Serialize(&blob);
+    std::string error;
+    auto revived = Filter::Deserialize(blob, &error);
+    ASSERT_NE(revived, nullptr) << filter->Name() << ": " << error;
+    std::string blob2;
+    revived->Serialize(&blob2);
+    EXPECT_EQ(blob, blob2) << filter->Name();
+    const auto* rf = dynamic_cast<const RangeFilter*>(revived.get());
+    ASSERT_NE(rf, nullptr);
+    const auto* orig = dynamic_cast<const RangeFilter*>(filter.get());
+    std::vector<uint8_t> got(lo.size());
+    rf->MultiMayContain(lo.data(), hi.data(), lo.size(), got.data());
+    for (size_t i = 0; i < lo.size(); ++i) {
+      ASSERT_EQ(got[i] != 0, orig->MayContain(lo[i], hi[i]))
+          << filter->Name() << " i=" << i;
     }
   }
 }
